@@ -10,34 +10,20 @@ import argparse
 import random
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import oracle
-from .clique import embed_via_clique
-from .csp import embed_via_csp
 from .errors import PosetmcError
 from .generators import banded_poset, independent_poset, load_graph, poset_of_graph, random_poset, stack_posets
 from .instrument import OpCounter
 from .logic import Sentence, eval_matrix, parse_sentence
-from .poset import Poset, format_poset_text, load_poset, is_embedding, width_and_chain_partition
-from .reduction import model_check
+from .poset import format_poset_text, load_poset, is_embedding, width_and_chain_partition
+from .reduction import _SOLVERS, model_check
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
 BENCH_SCHEMA = "solver,q,p,width,branches,ops,usec,verdict"
-
-
-def _embed_brute(q: Poset, p: Poset, counter: OpCounter | None = None):
-    return oracle.brute_force_embed(q, p, counter=counter)
-
-
-_EMBEDDERS: dict[str, Callable] = {
-    "clique": embed_via_clique,
-    "csp": embed_via_csp,
-    "brute": _embed_brute,
-}
 
 
 def _load_sentence(args) -> Sentence:
@@ -58,8 +44,7 @@ def cmd_check(args) -> int:
     if holds:
         print("YES")
         if args.witness:
-            assert witness is not None
-            if not eval_matrix(sentence.matrix, host, witness):
+            if witness is None or not eval_matrix(sentence.matrix, host, witness):
                 raise PosetmcError("internal error: witness failed re-verification")
             for v in sentence.vars:
                 print(f"var {v.name} -> {witness[v.name]}")
@@ -71,7 +56,7 @@ def cmd_check(args) -> int:
 def cmd_embed(args) -> int:
     pattern = load_poset(args.pattern)
     host = load_poset(args.host)
-    e = _EMBEDDERS[args.solver](pattern, host)
+    e = _SOLVERS[args.solver](pattern, host)
     if e is not None:
         print("YES")
         if args.witness:
@@ -131,7 +116,7 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     for s in solvers:
-        if s not in _EMBEDDERS:
+        if s not in _SOLVERS:
             raise PosetmcError(f"unknown solver {s!r}")
     if not sizes or args.repeats < 1:
         raise PosetmcError("need at least one size and one repeat")
@@ -142,7 +127,7 @@ def cmd_bench(args) -> int:
         for solver in solvers:
             counter = OpCounter()
             start = time.perf_counter()
-            e = _EMBEDDERS[solver](pattern, host, counter)
+            e = _SOLVERS[solver](pattern, host, counter=counter)
             usec = int((time.perf_counter() - start) * 1e6)
             verdict = "YES" if e is not None else "NO"
             print(
@@ -162,14 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--phi", help="sentence text")
     check.add_argument("--formula", help="path to a sentence file")
     check.add_argument("--poset", required=True, help="path to a poset file")
-    check.add_argument("--solver", choices=sorted(_EMBEDDERS), default="clique")
+    check.add_argument("--solver", choices=sorted(_SOLVERS), default="clique")
     check.add_argument("--witness", action="store_true", help="print a satisfying assignment")
     check.set_defaults(func=cmd_check)
 
     embed = sub.add_parser("embed", help="decide poset embedding")
     embed.add_argument("--pattern", required=True)
     embed.add_argument("--host", required=True)
-    embed.add_argument("--solver", choices=sorted(_EMBEDDERS), default="clique")
+    embed.add_argument("--solver", choices=sorted(_SOLVERS), default="clique")
     embed.add_argument("--witness", action="store_true")
     embed.set_defaults(func=cmd_embed)
 

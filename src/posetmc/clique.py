@@ -17,31 +17,13 @@ coordinatewise-minimum and -maximum cliques over each prefix of classes.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NotIntervalMonotone, PreconditionViolation
+from .errors import NotIntervalMonotone, PosetmcError, PreconditionViolation
 from .instrument import OpCounter
-from .poset import ChainPartition, Poset, is_embedding, width_and_chain_partition
-
-
-def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row neighbour interval [lo, hi] in column order; empty rows get lo > hi.
-
-    Raises NotIntervalMonotone if some row's neighbours are not contiguous.
-    """
-    m, width = mat.shape
-    if m == 0 or width == 0:
-        return np.full(m, width, dtype=np.int64), np.full(m, -1, dtype=np.int64)
-    nonempty = mat.any(axis=1)
-    lo = np.where(nonempty, mat.argmax(axis=1), width).astype(np.int64)
-    hi = np.where(nonempty, width - 1 - mat[:, ::-1].argmax(axis=1), -1).astype(np.int64)
-    counts = mat.sum(axis=1)
-    if not np.array_equal(counts, np.where(nonempty, hi - lo + 1, 0)):
-        raise NotIntervalMonotone("a neighbourhood is not an interval of the class order")
-    return lo, hi
+from .poset import ChainPartition, Poset, _row_intervals, compat_relations, embed_over_compat_functions
 
 
 class ColoredGraph:
@@ -50,10 +32,16 @@ class ColoredGraph:
     `elements[i]` records the host element underlying each vertex of class i;
     vertices are referred to by their position in their class, which is also
     the class order.  Adjacency between classes i < j is a boolean matrix
-    indexed (position in i, position in j).
+    indexed (position in i, position in j).  `intervals`, when supplied,
+    holds precomputed neighbour intervals keyed like those of `intervals()`.
     """
 
-    def __init__(self, elements: Sequence[Sequence[int]], adjacency: Mapping[tuple[int, int], np.ndarray]):
+    def __init__(
+        self,
+        elements: Sequence[Sequence[int]],
+        adjacency: Mapping[tuple[int, int], np.ndarray],
+        intervals: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None = None,
+    ):
         self.k = len(elements)
         self.elements = [np.asarray(cls, dtype=np.int64) for cls in elements]
         self._adj: dict[tuple[int, int], np.ndarray] = {}
@@ -63,7 +51,7 @@ class ColoredGraph:
                 if mat.shape != (len(self.elements[i]), len(self.elements[j])):
                     raise ValueError(f"adjacency {(i, j)} has shape {mat.shape}")
                 self._adj[(i, j)] = mat
-        self._ivals: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._ivals: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = dict(intervals or {})
 
     def class_size(self, i: int) -> int:
         return len(self.elements[i])
@@ -81,9 +69,6 @@ class ColoredGraph:
             self._ivals[key] = _row_intervals(self.adjacency(i, j))
         return self._ivals[key]
 
-    def seed_intervals(self, i: int, j: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        self._ivals[(i, j)] = (lo, hi)
-
     def edge_count(self) -> int:
         return sum(int(m.sum()) for m in self._adj.values())
 
@@ -98,42 +83,13 @@ def build_colored_graph(
 ) -> ColoredGraph:
     """Construct G(P, Q, f) for the given chain partition of the host.
 
-    `cache`, when supplied, memoizes the per-class-pair adjacency and interval
-    data across compatibility functions of one embedding run; entries are
-    keyed by (host chain pair, pattern relation pair) since nothing else
-    enters the edge rule.
+    Edges follow the shared edge rule of `poset.compat_relations`; `cache`,
+    when supplied, memoizes the per-class-pair adjacency and interval data
+    across compatibility functions of one embedding run.
     """
     c = counter if counter is not None else OpCounter()
-    k = q.n
-    classes = [np.asarray(cp.chains[f[i]], dtype=np.int64) for i in range(k)]
-    adjacency: dict[tuple[int, int], np.ndarray] = {}
-    seeded: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            qij = bool(q.leq[i, j])
-            qji = bool(q.leq[j, i])
-            key = (f[i], f[j], qij, qji)
-            hit = cache is not None and key in cache
-            if hit:
-                mat, lo, hi, lo_t, hi_t = cache[key]
-                c.add(1)
-            else:
-                ci, cj = classes[i], classes[j]
-                up = p.leq[np.ix_(ci, cj)]
-                down = p.leq[np.ix_(cj, ci)].T
-                mat = (up == qij) & (down == qji)
-                lo, hi = _row_intervals(mat)
-                lo_t, hi_t = _row_intervals(mat.T)
-                c.add(len(ci) * len(cj))
-                if cache is not None:
-                    cache[key] = (mat, lo, hi, lo_t, hi_t)
-            adjacency[(i, j)] = mat
-            seeded[(i, j)] = (lo, hi)
-            seeded[(j, i)] = (lo_t, hi_t)
-    g = ColoredGraph(classes, adjacency)
-    for (i, j), (lo, hi) in seeded.items():
-        g.seed_intervals(i, j, lo, hi)
-    return g
+    adjacency, intervals = compat_relations(q, p, f, cp, c, cache)
+    return ColoredGraph([cp.chains[f[i]] for i in range(q.n)], adjacency, intervals)
 
 
 def is_interval_monotone(g: ColoredGraph) -> bool:
@@ -150,18 +106,12 @@ def is_interval_monotone(g: ColoredGraph) -> bool:
         for j in range(i + 1, g.k):
             mat = g.adjacency(i, j)
             for m in (mat, mat.T):
-                rows, width = m.shape
-                if rows == 0 or width == 0:
-                    continue
-                nonempty = m.any(axis=1)
-                lo = m.argmax(axis=1)
-                hi = width - 1 - m[:, ::-1].argmax(axis=1)
-                counts = m.sum(axis=1)
-                if not np.array_equal(counts[nonempty], (hi - lo + 1)[nonempty]):
+                try:
+                    lo, hi = _row_intervals(m)
+                except NotIntervalMonotone:
                     return False
-                lo_seq = lo[nonempty]
-                hi_seq = hi[nonempty]
-                if np.any(np.diff(lo_seq) < 0) or np.any(np.diff(hi_seq) < 0):
+                nonempty = lo <= hi
+                if np.any(np.diff(lo[nonempty]) < 0) or np.any(np.diff(hi[nonempty]) < 0):
                     return False
     return True
 
@@ -184,6 +134,22 @@ def _require_clique(g: ColoredGraph, vertices: Mapping[int, int], classes: Itera
         raise PreconditionViolation("input vertex set is not a clique")
 
 
+def _clique_extreme(
+    cliques: Sequence[Mapping[int, int]],
+    classes: Iterable[int],
+    g: ColoredGraph,
+    check: bool,
+    pick: Callable[..., int],
+) -> dict[int, int]:
+    classes = sorted(classes)
+    if not cliques:
+        raise PreconditionViolation("need at least one clique")
+    if check:
+        for kq in cliques:
+            _require_clique(g, kq, classes)
+    return {i: pick(kq[i] for kq in cliques) for i in classes}
+
+
 def clique_min(
     cliques: Sequence[Mapping[int, int]],
     classes: Iterable[int],
@@ -194,13 +160,7 @@ def clique_min(
 
     For interval-monotone graphs the result is again a clique.
     """
-    classes = sorted(classes)
-    if not cliques:
-        raise PreconditionViolation("need at least one clique")
-    if check:
-        for kq in cliques:
-            _require_clique(g, kq, classes)
-    return {i: min(kq[i] for kq in cliques) for i in classes}
+    return _clique_extreme(cliques, classes, g, check, min)
 
 
 def clique_max(
@@ -210,13 +170,7 @@ def clique_max(
     check: bool = True,
 ) -> dict[int, int]:
     """Coordinatewise maximum; dual of clique_min."""
-    classes = sorted(classes)
-    if not cliques:
-        raise PreconditionViolation("need at least one clique")
-    if check:
-        for kq in cliques:
-            _require_clique(g, kq, classes)
-    return {i: max(kq[i] for kq in cliques) for i in classes}
+    return _clique_extreme(cliques, classes, g, check, max)
 
 
 class CliqueTable:
@@ -293,7 +247,8 @@ def _extend(
             his[l] = min(his[l], int(hi_arr[found]))
         c.add(j)
     entry = tuple(result)
-    assert entry[ci] == v
+    if entry[ci] != v:
+        raise PosetmcError("internal error: table entry does not end at its vertex")
     return entry
 
 
@@ -339,28 +294,21 @@ def solve_multicolored_clique(
     return None
 
 
+def _clique_step(
+    q: Poset, p: Poset, f: Sequence[int], cp: ChainPartition, c: OpCounter, cache: dict
+) -> tuple[int, ...] | None:
+    g = build_colored_graph(q, p, f, cp, counter=c, cache=cache)
+    sol = solve_multicolored_clique(g, counter=c)
+    if sol is None:
+        return None
+    return tuple(int(g.elements[i][pos]) for i, pos in enumerate(sol))
+
+
 def embed_via_clique(q: Poset, p: Poset, counter: OpCounter | None = None) -> tuple[int, ...] | None:
     """Embedding of q into p, or None, via the coloured-clique solver.
 
-    Compatibility functions are tried in lexicographic order (as base-w
-    numerals over the chain indices of the host's chain partition); the
-    witness comes from the first successful one and is re-verified against
-    the embedding definition before returning.
+    Compatibility functions are tried in lexicographic order (see
+    `poset.embed_over_compat_functions`); the witness comes from the first
+    successful one and is re-verified against the embedding definition.
     """
-    if q.n == 0:
-        raise PreconditionViolation("pattern must be nonempty")
-    if p.n == 0:
-        raise PreconditionViolation("host must be nonempty")
-    c = counter if counter is not None else OpCounter()
-    w, cp = width_and_chain_partition(p)
-    cache: dict = {}
-    for f in product(range(w), repeat=q.n):
-        c.branches += 1
-        g = build_colored_graph(q, p, f, cp, counter=c, cache=cache)
-        sol = solve_multicolored_clique(g, counter=c)
-        if sol is not None:
-            e = tuple(int(g.elements[i][pos]) for i, pos in enumerate(sol))
-            if not is_embedding(q, p, e):
-                raise AssertionError("clique solver produced a non-embedding")
-            return e
-    return None
+    return embed_over_compat_functions(q, p, counter, _clique_step)

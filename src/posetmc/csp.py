@@ -12,14 +12,13 @@ solution.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NotMinClosed, PreconditionViolation
+from .errors import NotMinClosed
 from .instrument import OpCounter
-from .poset import ChainPartition, Poset, is_embedding, width_and_chain_partition
+from .poset import ChainPartition, Poset, compat_relations, embed_over_compat_functions
 
 
 class CspInstance:
@@ -55,32 +54,13 @@ def build_csp(
 
     For distinct pattern elements x < y the relation keeps the pairs (a, b)
     with a in C_f(x), b in C_f(y), a <=_P b iff x <=_Q y, and b <=_P a iff
-    y <=_Q x.  `cache` memoizes relations across compatibility functions of
-    one embedding run (keyed by chain pair and pattern relation pair).
+    y <=_Q x (the shared edge rule of `poset.compat_relations`).  `cache`
+    memoizes relations across compatibility functions of one embedding run
+    (keyed by chain pair and pattern relation pair).
     """
     c = counter if counter is not None else OpCounter()
-    k = q.n
-    domains = [cp.chains[f[x]] for x in range(k)]
-    constraints: dict[tuple[int, int], np.ndarray] = {}
-    for x in range(k):
-        for y in range(x + 1, k):
-            qxy = bool(q.leq[x, y])
-            qyx = bool(q.leq[y, x])
-            key = (f[x], f[y], qxy, qyx)
-            if cache is not None and key in cache:
-                constraints[(x, y)] = cache[key]
-                c.add(1)
-                continue
-            dx = np.asarray(domains[x], dtype=np.int64)
-            dy = np.asarray(domains[y], dtype=np.int64)
-            up = p.leq[np.ix_(dx, dy)]
-            down = p.leq[np.ix_(dy, dx)].T
-            rel = (up == qxy) & (down == qyx)
-            c.add(len(dx) * len(dy))
-            if cache is not None:
-                cache[key] = rel
-            constraints[(x, y)] = rel
-    return CspInstance(domains, constraints, tuple(f))
+    constraints, _ = compat_relations(q, p, f, cp, c, cache)
+    return CspInstance([cp.chains[f[x]] for x in range(q.n)], constraints, tuple(f))
 
 
 def relation_is_min_closed(rel: np.ndarray) -> bool:
@@ -100,20 +80,13 @@ def assert_min_closed(inst: CspInstance) -> None:
             raise NotMinClosed(f"constraint {scope} is not min-closed")
 
 
-def solve_min_closed(
-    inst: CspInstance,
-    counter: OpCounter | None = None,
-    check_min_closed: bool = False,
-) -> tuple[int, ...] | None:
+def solve_min_closed(inst: CspInstance, counter: OpCounter | None = None) -> tuple[int, ...] | None:
     """Arc consistency to fixpoint, then the least survivor of each domain.
 
     Returns the coordinatewise-minimum solution (as host elements, one per
-    variable) or None when some domain empties.  `check_min_closed` runs the
-    exhaustive closure check first and raises NotMinClosed on a violation,
-    which would indicate a construction bug.
+    variable) or None when some domain empties.  Correct only for min-closed
+    relations; `assert_min_closed` checks that exhaustively.
     """
-    if check_min_closed:
-        assert_min_closed(inst)
     c = counter if counter is not None else OpCounter()
     nvars = len(inst.domains)
     alive = [np.ones(len(d), dtype=bool) for d in inst.domains]
@@ -143,22 +116,14 @@ def solve_min_closed(
     return tuple(int(inst.domains[v][int(np.argmax(alive[v]))]) for v in range(nvars))
 
 
+def _csp_step(
+    q: Poset, p: Poset, f: Sequence[int], cp: ChainPartition, c: OpCounter, cache: dict
+) -> tuple[int, ...] | None:
+    return solve_min_closed(build_csp(q, p, f, cp, counter=c, cache=cache), counter=c)
+
+
 def embed_via_csp(q: Poset, p: Poset, counter: OpCounter | None = None) -> tuple[int, ...] | None:
     """Embedding of q into p, or None, by looping the CSP over all
-    compatibility functions in lexicographic order."""
-    if q.n == 0:
-        raise PreconditionViolation("pattern must be nonempty")
-    if p.n == 0:
-        raise PreconditionViolation("host must be nonempty")
-    c = counter if counter is not None else OpCounter()
-    w, cp = width_and_chain_partition(p)
-    cache: dict = {}
-    for f in product(range(w), repeat=q.n):
-        c.branches += 1
-        inst = build_csp(q, p, f, cp, counter=c, cache=cache)
-        sol = solve_min_closed(inst, counter=c)
-        if sol is not None:
-            if not is_embedding(q, p, sol):
-                raise AssertionError("CSP solver produced a non-embedding")
-            return sol
-    return None
+    compatibility functions in lexicographic order (see
+    `poset.embed_over_compat_functions`)."""
+    return embed_over_compat_functions(q, p, counter, _csp_step)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError, IndexOutOfRange, PreconditionViolation
-from .poset import Poset, disjoint_union
+from .poset import Poset, _bool_matmul, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def stack_posets(parts: Sequence[Poset]) -> Poset:
 
 def _has_three_chain(p: Poset) -> bool:
     strict = p.leq & ~np.eye(p.n, dtype=bool)
-    two_step = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
-    return bool(two_step.any())
+    return bool(_bool_matmul(strict, strict).any())
 
 
 def or_compose(instances: Sequence[tuple[Poset, int]]) -> tuple[Poset, int]:

@@ -20,7 +20,3 @@ class OpCounter:
 
     def add(self, n: int = 1) -> None:
         self.ops += int(n)
-
-    def reset(self) -> None:
-        self.ops = 0
-        self.branches = 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-from .errors import FormulaSyntaxError, FreeVariable, UnboundVariable, UnsupportedQuantifier
+from .errors import FormulaSyntaxError, FreeVariable, PosetmcError, UnboundVariable, UnsupportedQuantifier
 from .poset import Poset
 
 
@@ -100,7 +100,8 @@ def _tokenize(text: str) -> list[_Token]:
         if m is None:
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
-        assert kind is not None
+        if kind is None:
+            raise PosetmcError(f"internal error: token at position {pos} matched no group")
         if kind != "ws":
             out.append(_Token(kind, m.group(), pos))
         pos = m.end()

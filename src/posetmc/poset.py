@@ -1,20 +1,26 @@
-"""Finite posets: construction, validation, queries, width and chain partitions.
+"""Finite posets: queries, width and chain partitions, and the compatibility-
+function search that both embedding engines share.
 
 Elements are dense 0-based indices.  The order relation is stored as a dense
 n-by-n boolean matrix `leq` with leq[a, b] == True iff a <= b.  Posets are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads; the chain
+partition memoized on a poset is a pure function of `leq`.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import AntisymmetryViolation, FormatError, IndexOutOfRange, PreconditionViolation
+from .errors import AntisymmetryViolation, FormatError, IndexOutOfRange, NotIntervalMonotone
+from .errors import PosetmcError, PreconditionViolation
+from .instrument import OpCounter
 
 
 class Relation(Enum):
@@ -25,17 +31,18 @@ class Relation(Enum):
 
 
 class Poset:
-    """A finite poset on {0, .., n-1} backed by a read-only boolean matrix."""
+    """A finite poset on {0, .., n-1} backed by a read-only copy of a boolean matrix."""
 
-    __slots__ = ("n", "leq")
+    __slots__ = ("n", "leq", "_chains")
 
     def __init__(self, leq: np.ndarray, validate: bool = True):
-        leq = np.asarray(leq, dtype=bool)
+        leq = np.array(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise ValueError(f"leq must be square, got shape {leq.shape}")
         self.n = int(leq.shape[0])
         self.leq = leq
         self.leq.flags.writeable = False
+        self._chains: tuple[int, ChainPartition] | None = None
         if validate:
             self.validate()
 
@@ -141,7 +148,7 @@ def _witness_cycle(n: int, pairs: list[tuple[int, int]], a: int, b: int) -> list
                 if y not in prev:
                     prev[y] = x
                     queue.append(y)
-        raise AssertionError("cycle endpoints must be connected")
+        raise PosetmcError("internal error: cycle endpoints must be connected")
 
     forward = path(a, b)
     back = path(b, a)
@@ -287,8 +294,11 @@ def width_and_chain_partition(p: Poset) -> tuple[int, ChainPartition]:
     """Width w of the poset together with a partition into exactly w chains.
 
     The returned partition also carries a size-w antichain certificate, which
-    is re-verified (pairwise incomparability) before returning.
+    is re-verified (pairwise incomparability) before returning.  The result
+    is computed once per poset and memoized on it.
     """
+    if p._chains is not None:
+        return p._chains
     if p.n == 0:
         raise PreconditionViolation("width of the empty poset is not supported")
     n = p.n
@@ -304,22 +314,110 @@ def width_and_chain_partition(p: Poset) -> tuple[int, ChainPartition]:
         while match_l[chain[-1]] != -1:
             chain.append(match_l[chain[-1]])
         chains.append(tuple(chain))
-    assert len(chains) == w
+    if len(chains) != w:
+        raise PosetmcError(f"internal error: {len(chains)} chains for width {w}")
     chains.sort(key=min)
 
     chain_of = [-1] * n
     for ci, chain in enumerate(chains):
         for e in chain:
             chain_of[e] = ci
-    assert all(c != -1 for c in chain_of)
+    if -1 in chain_of:
+        raise PosetmcError("internal error: an element lies on no chain")
 
     anti = _koenig_antichain(rows, match_l, match_r, n)
-    assert len(anti) == w
+    if len(anti) != w:
+        raise PosetmcError(f"internal error: antichain certificate of size {len(anti)} for width {w}")
     for i, a in enumerate(anti):
         for b in anti[i + 1 :]:
-            assert relate(p, a, b) is Relation.Incomparable
-    cp = ChainPartition(tuple(chains), tuple(chain_of), tuple(sorted(anti)))
-    return w, cp
+            if relate(p, a, b) is not Relation.Incomparable:
+                raise PosetmcError(f"internal error: certificate elements {a} and {b} are comparable")
+    p._chains = (w, ChainPartition(tuple(chains), tuple(chain_of), tuple(sorted(anti))))
+    return p._chains
+
+
+# -- compatibility functions ----------------------------------------------------
+#
+# A compatibility function f maps each pattern element to a host chain.  The
+# clique and CSP engines share the search over f and the edge rule; only the
+# per-function solver differs.
+
+
+def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row neighbour interval [lo, hi] in column order; empty rows get lo > hi.
+
+    Raises NotIntervalMonotone if some row's neighbours are not contiguous.
+    """
+    m, width = mat.shape
+    if m == 0 or width == 0:
+        return np.full(m, width, dtype=np.int64), np.full(m, -1, dtype=np.int64)
+    nonempty = mat.any(axis=1)
+    lo = np.where(nonempty, mat.argmax(axis=1), width).astype(np.int64)
+    hi = np.where(nonempty, width - 1 - mat[:, ::-1].argmax(axis=1), -1).astype(np.int64)
+    counts = mat.sum(axis=1)
+    if not np.array_equal(counts, np.where(nonempty, hi - lo + 1, 0)):
+        raise NotIntervalMonotone("a neighbourhood is not an interval of the class order")
+    return lo, hi
+
+
+def compat_relations(
+    q: Poset, p: Poset, f: Sequence[int], cp: ChainPartition, c: OpCounter, cache: dict | None
+) -> tuple[dict[tuple[int, int], np.ndarray], dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]]:
+    """The edge rule for every pattern pair i < j under f.
+
+    `relations[(i, j)]`, indexed (position on chain f[i], position on chain
+    f[j]), keeps the host pairs (a, b) with a <=_P b iff i <=_Q j and
+    b <=_P a iff j <=_Q i; `intervals[(i, j)]` and `intervals[(j, i)]` are
+    the neighbour intervals of its rows and columns.  `cache` memoizes
+    entries by (chain pair, pattern relation pair), the rule's only inputs;
+    a hit counts one op, a miss one per host pair.
+    """
+    relations: dict[tuple[int, int], np.ndarray] = {}
+    intervals: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    qleq = q.leq.tolist()
+    k = q.n
+    for i in range(k):
+        for j in range(i + 1, k):
+            key = (f[i], f[j], qleq[i][j], qleq[j][i])
+            entry = cache.get(key) if cache is not None else None
+            if entry is None:
+                ci, cj = cp.chains[f[i]], cp.chains[f[j]]
+                mat = (p.leq[np.ix_(ci, cj)] == key[2]) & (p.leq[np.ix_(cj, ci)].T == key[3])
+                entry = (mat, _row_intervals(mat), _row_intervals(mat.T))
+                c.add(len(ci) * len(cj))
+                if cache is not None:
+                    cache[key] = entry
+            else:
+                c.add(1)
+            relations[(i, j)], intervals[(i, j)], intervals[(j, i)] = entry
+    return relations, intervals
+
+
+def embed_over_compat_functions(
+    q: Poset, p: Poset, counter: OpCounter | None, solve: Callable[..., tuple[int, ...] | None]
+) -> tuple[int, ...] | None:
+    """Embedding of q into p, or None, trying compatibility functions in
+    lexicographic order (base-w numerals over chain indices), one branch each.
+
+    `solve(q, p, f, cp, counter, cache)` builds and solves one function's
+    instance, returning host elements or None; `cache` is one relation memo
+    per call.  The first solution is re-verified before it is returned.
+    """
+    if q.n == 0:
+        raise PreconditionViolation("pattern must be nonempty")
+    if p.n == 0:
+        raise PreconditionViolation("host must be nonempty")
+    c = counter if counter is not None else OpCounter()
+    w, cp = width_and_chain_partition(p)
+    cache: dict = {}
+    for f in product(range(w), repeat=q.n):
+        c.branches += 1
+        e = solve(q, p, f, cp, c, cache)
+        if e is not None:
+            if not is_embedding(q, p, e):
+                raise PosetmcError("internal error: solver produced a non-embedding")
+            return e
+    return None
 
 
 # -- poset text format ---------------------------------------------------------
@@ -351,6 +449,9 @@ def parse_poset_text(text: str) -> Poset:
             if len(fields) != 2 or not fields[1].isdigit():
                 raise FormatError(f"line {lineno}: expected 'elements <n>'")
             n = int(fields[1])
+            # the closure works on an n-by-n float32 copy; NumPy sizes are Py_ssize_t
+            if 4 * n * n > sys.maxsize:
+                raise FormatError(f"line {lineno}: {n} elements do not fit a dense relation matrix")
         elif kind in ("cover", "leq"):
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected '{kind} <u> <v>'")

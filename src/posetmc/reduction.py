@@ -20,7 +20,7 @@ import numpy as np
 from . import oracle
 from .clique import embed_via_clique
 from .csp import embed_via_csp
-from .errors import PreconditionViolation, TooManyVariables
+from .errors import PosetmcError, PreconditionViolation, TooManyVariables
 from .instrument import OpCounter
 from .logic import Sentence, eval_matrix
 from .poset import Poset
@@ -107,20 +107,18 @@ def enumerate_templates(s: Sentence, cap: int = DEFAULT_VARIABLE_CAP) -> list[Qu
             pattern = Poset(rel, validate=True)
             if eval_matrix(s.matrix, pattern, block_of):
                 key = (tuple(rgs), rel.tobytes())
-                assert key not in seen, "duplicate template"
+                if key in seen:
+                    raise PosetmcError("internal error: duplicate template")
                 seen.add(key)
                 out.append(QuotientTemplate(blocks, pattern, dict(block_of)))
     return out
 
 
-def _embed_brute(q: Poset, p: Poset, counter: OpCounter | None) -> tuple[int, ...] | None:
-    return oracle.brute_force_embed(q, p, counter=counter)
-
-
+# Embedding engines by name; each is called as engine(q, p, counter=counter).
 _SOLVERS: dict[str, Callable] = {
     "clique": embed_via_clique,
     "csp": embed_via_csp,
-    "brute": _embed_brute,
+    "brute": oracle.brute_force_embed,
 }
 
 
@@ -143,7 +141,7 @@ def model_check(
         raise ValueError(f"unknown solver {solver!r}")
     embed = _SOLVERS[solver]
     for template in enumerate_templates(s, cap=cap):
-        e = embed(template.pattern, p, counter)
+        e = embed(template.pattern, p, counter=counter)
         if e is not None:
             witness = {name: int(e[blk]) for name, blk in template.block_of.items()}
             return True, witness

@@ -91,6 +91,12 @@ def test_embed_yes_no_and_witness(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_embed_oversized_poset_is_error(tmp_path, capsys):
+    huge = _write(tmp_path, "huge.poset", "poset huge\nelements 10000000000\n")
+    assert main(["embed", "--pattern", huge, "--host", huge]) == 2
+    assert "10000000000 elements" in capsys.readouterr().err
+
+
 def test_width_output(tmp_path, capsys):
     i4 = _write(tmp_path, "i4.poset", pm.format_poset_text(pm.independent_poset(4)))
     assert main(["width", "--poset", i4]) == 0

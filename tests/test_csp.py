@@ -62,7 +62,7 @@ def test_not_min_closed_detected():
     inst = pm.CspInstance([[0, 1], [2, 3]], {(0, 1): rel}, (0, 1))
     assert not pm.relation_is_min_closed(rel)
     with pytest.raises(pm.NotMinClosed):
-        pm.solve_min_closed(inst, check_min_closed=True)
+        pm.assert_min_closed(inst)
 
 
 def _brute_csp_satisfiable(inst):
@@ -79,7 +79,8 @@ def test_solver_agrees_with_exhaustive_search(rng):
         w, cp = pm.width_and_chain_partition(p)
         f = tuple(rng.randrange(w) for _ in range(q.n))
         inst = pm.build_csp(q, p, f, cp, counter=None)
-        got = pm.solve_min_closed(inst, check_min_closed=True)
+        pm.assert_min_closed(inst)
+        got = pm.solve_min_closed(inst)
         ref = _brute_csp_satisfiable(inst)
         assert (got is None) == (ref is None)
         if got is not None:

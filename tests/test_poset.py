@@ -68,9 +68,11 @@ def test_cover_roundtrip(rng):
 
 
 def test_width_independent_triple():
-    w, cp = pm.width_and_chain_partition(pm.independent_poset(3))
+    p = pm.independent_poset(3)
+    w, cp = pm.width_and_chain_partition(p)
     assert w == 3
     assert cp.chains == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    assert pm.width_and_chain_partition(p) is pm.width_and_chain_partition(p)
 
 
 def test_width_single_chain():
@@ -128,6 +130,11 @@ def test_poset_equality_and_immutability():
     p = chain(3)
     with pytest.raises(ValueError):
         p.leq[0, 0] = False
+    a = np.eye(2, dtype=bool)
+    copied = pm.Poset(a)
+    assert a.flags.writeable
+    a[0, 1] = True
+    assert not copied.leq[0, 1]
 
 
 @st.composite
