@@ -18,7 +18,7 @@ from .clique import (
     is_interval_monotone,
     solve_multicolored_clique,
 )
-from .csp import CspInstance, assert_min_closed, build_csp, embed_via_csp, relation_is_min_closed, solve_min_closed
+from .csp import assert_min_closed, embed_via_csp, relation_is_min_closed, solve_min_closed
 from .errors import (
     AntisymmetryViolation,
     CapExceeded,

@@ -16,7 +16,7 @@ from .errors import PosetmcError
 from .generators import banded_poset, independent_poset, load_graph, poset_of_graph, random_poset, stack_posets
 from .instrument import OpCounter
 from .logic import Sentence, eval_matrix, parse_sentence
-from .poset import format_poset_text, load_poset, is_embedding, width_and_chain_partition
+from .poset import format_poset_text, load_poset, width_and_chain_partition
 from .reduction import _SOLVERS, model_check
 
 EXIT_YES = 0
@@ -60,8 +60,6 @@ def cmd_embed(args) -> int:
     if e is not None:
         print("YES")
         if args.witness:
-            if not is_embedding(pattern, host, e):
-                raise PosetmcError("internal error: witness failed re-verification")
             for qe, pe in enumerate(e):
                 print(f"{qe} -> {pe}")
         return EXIT_YES

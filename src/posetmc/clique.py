@@ -13,17 +13,24 @@ the class order, and crossing edges force the closing rectangle edges.  That
 structure lets a dynamic program find a k-clique (one vertex per class) in
 time proportional to k times the edge count, by tabulating per vertex the
 coordinatewise-minimum and -maximum cliques over each prefix of classes.
+
+The same graph is the instance of the CSP engine (`csp.py`): classes are its
+domains and the adjacency matrices its relations.  Both engines run through
+`embed_over_compat_functions`, which builds one graph per compatibility
+function and hands it to the engine's solver.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import NotIntervalMonotone, PosetmcError, PreconditionViolation
 from .instrument import OpCounter
-from .poset import ChainPartition, Poset, _row_intervals, compat_relations, embed_over_compat_functions
+from .poset import ChainPartition, Poset, _row_intervals, compat_relations
+from .poset import is_embedding, width_and_chain_partition
 
 
 class ColoredGraph:
@@ -44,13 +51,13 @@ class ColoredGraph:
     ):
         self.k = len(elements)
         self.elements = [np.asarray(cls, dtype=np.int64) for cls in elements]
+        sizes = [len(cls) for cls in self.elements]
         self._adj: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                mat = np.asarray(adjacency[(i, j)], dtype=bool)
-                if mat.shape != (len(self.elements[i]), len(self.elements[j])):
-                    raise ValueError(f"adjacency {(i, j)} has shape {mat.shape}")
-                self._adj[(i, j)] = mat
+        for i, j in combinations(range(self.k), 2):
+            mat = np.asarray(adjacency[i, j], dtype=bool)
+            if mat.shape != (sizes[i], sizes[j]):
+                raise PreconditionViolation(f"adjacency {(i, j)} has shape {mat.shape}")
+            self._adj[i, j] = mat
         self._ivals: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = dict(intervals or {})
 
     def class_size(self, i: int) -> int:
@@ -89,7 +96,37 @@ def build_colored_graph(
     """
     c = counter if counter is not None else OpCounter()
     adjacency, intervals = compat_relations(q, p, f, cp, c, cache)
-    return ColoredGraph([cp.chains[f[i]] for i in range(q.n)], adjacency, intervals)
+    return ColoredGraph([cp.arrays[f[i]] for i in range(q.n)], adjacency, intervals)
+
+
+def embed_over_compat_functions(
+    q: Poset, p: Poset, counter: OpCounter | None, solve: Callable[..., tuple[int, ...] | None]
+) -> tuple[int, ...] | None:
+    """Embedding of q into p, or None, trying compatibility functions in
+    lexicographic order (base-w numerals over chain indices), one branch each.
+
+    Each function's graph is built with one relation memo per call and
+    passed to `solve(g, counter=c)`, which returns one position per class or
+    None.  The first solution is mapped to host elements and re-verified
+    before it is returned.
+    """
+    if q.n == 0:
+        raise PreconditionViolation("pattern must be nonempty")
+    if p.n == 0:
+        raise PreconditionViolation("host must be nonempty")
+    c = counter if counter is not None else OpCounter()
+    w, cp = width_and_chain_partition(p)
+    cache: dict = {}
+    for f in product(range(w), repeat=q.n):
+        c.branches += 1
+        g = build_colored_graph(q, p, f, cp, counter=c, cache=cache)
+        sol = solve(g, counter=c)
+        if sol is not None:
+            e = tuple(int(g.elements[i][pos]) for i, pos in enumerate(sol))
+            if not is_embedding(q, p, e):
+                raise PosetmcError("internal error: solver produced a non-embedding")
+            return e
+    return None
 
 
 def is_interval_monotone(g: ColoredGraph) -> bool:
@@ -294,21 +331,11 @@ def solve_multicolored_clique(
     return None
 
 
-def _clique_step(
-    q: Poset, p: Poset, f: Sequence[int], cp: ChainPartition, c: OpCounter, cache: dict
-) -> tuple[int, ...] | None:
-    g = build_colored_graph(q, p, f, cp, counter=c, cache=cache)
-    sol = solve_multicolored_clique(g, counter=c)
-    if sol is None:
-        return None
-    return tuple(int(g.elements[i][pos]) for i, pos in enumerate(sol))
-
-
 def embed_via_clique(q: Poset, p: Poset, counter: OpCounter | None = None) -> tuple[int, ...] | None:
     """Embedding of q into p, or None, via the coloured-clique solver.
 
     Compatibility functions are tried in lexicographic order (see
-    `poset.embed_over_compat_functions`); the witness comes from the first
+    `embed_over_compat_functions`); the witness comes from the first
     successful one and is re-verified against the embedding definition.
     """
-    return embed_over_compat_functions(q, p, counter, _clique_step)
+    return embed_over_compat_functions(q, p, counter, solve_multicolored_clique)

@@ -1,5 +1,5 @@
-"""Finite posets: queries, width and chain partitions, and the compatibility-
-function search that both embedding engines share.
+"""Finite posets: queries, width and chain partitions, and the edge rule that
+turns a compatibility function into the relations both embedding engines solve.
 
 Elements are dense 0-based indices.  The order relation is stored as a dense
 n-by-n boolean matrix `leq` with leq[a, b] == True iff a <= b.  Posets are
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +37,7 @@ class Poset:
     def __init__(self, leq: np.ndarray, validate: bool = True):
         leq = np.array(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-            raise ValueError(f"leq must be square, got shape {leq.shape}")
+            raise PreconditionViolation(f"leq must be square, got shape {leq.shape}")
         self.n = int(leq.shape[0])
         self.leq = leq
         self.leq.flags.writeable = False
@@ -52,14 +51,14 @@ class Poset:
         if n == 0:
             return
         if not leq.diagonal().all():
-            raise ValueError("relation is not reflexive")
+            raise PreconditionViolation("relation is not reflexive")
         sym = leq & leq.T
         np.fill_diagonal(sym, False)
         if sym.any():
             a, b = map(int, np.argwhere(sym)[0])
             raise AntisymmetryViolation([a, b, a])
         if (_bool_matmul(leq, leq) & ~leq).any():
-            raise ValueError("relation is not transitive")
+            raise PreconditionViolation("relation is not transitive")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -81,12 +80,21 @@ class ChainPartition:
 
     Chains are sorted by their minimum element index; each chain lists its
     elements in ascending order.  `antichain` has exactly one element per
-    chain and is pairwise incomparable.
+    chain and is pairwise incomparable.  `arrays` holds the chains again as
+    read-only int64 arrays, made once for every coloured graph built over
+    the partition.
     """
 
     chains: tuple[tuple[int, ...], ...]
     chain_of: tuple[int, ...]
     antichain: tuple[int, ...]
+    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arrays = tuple(np.array(chain, dtype=np.int64) for chain in self.chains)
+        for arr in arrays:
+            arr.flags.writeable = False
+        object.__setattr__(self, "arrays", arrays)
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,8 +347,8 @@ def width_and_chain_partition(p: Poset) -> tuple[int, ChainPartition]:
 # -- compatibility functions ----------------------------------------------------
 #
 # A compatibility function f maps each pattern element to a host chain.  The
-# clique and CSP engines share the search over f and the edge rule; only the
-# per-function solver differs.
+# edge rule below turns f into the relations of one coloured graph, which the
+# clique and CSP engines both solve (see `clique.embed_over_compat_functions`).
 
 
 def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,33 +399,6 @@ def compat_relations(
                 c.add(1)
             relations[(i, j)], intervals[(i, j)], intervals[(j, i)] = entry
     return relations, intervals
-
-
-def embed_over_compat_functions(
-    q: Poset, p: Poset, counter: OpCounter | None, solve: Callable[..., tuple[int, ...] | None]
-) -> tuple[int, ...] | None:
-    """Embedding of q into p, or None, trying compatibility functions in
-    lexicographic order (base-w numerals over chain indices), one branch each.
-
-    `solve(q, p, f, cp, counter, cache)` builds and solves one function's
-    instance, returning host elements or None; `cache` is one relation memo
-    per call.  The first solution is re-verified before it is returned.
-    """
-    if q.n == 0:
-        raise PreconditionViolation("pattern must be nonempty")
-    if p.n == 0:
-        raise PreconditionViolation("host must be nonempty")
-    c = counter if counter is not None else OpCounter()
-    w, cp = width_and_chain_partition(p)
-    cache: dict = {}
-    for f in product(range(w), repeat=q.n):
-        c.branches += 1
-        e = solve(q, p, f, cp, c, cache)
-        if e is not None:
-            if not is_embedding(q, p, e):
-                raise PosetmcError("internal error: solver produced a non-embedding")
-            return e
-    return None
 
 
 # -- poset text format ---------------------------------------------------------

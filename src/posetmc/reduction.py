@@ -82,7 +82,7 @@ def _labeled_posets(b: int) -> Iterator[np.ndarray]:
             yield rel
 
 
-def enumerate_templates(s: Sentence, cap: int = DEFAULT_VARIABLE_CAP) -> list[QuotientTemplate]:
+def enumerate_templates(s: Sentence) -> list[QuotientTemplate]:
     """Every satisfying (partition, block poset) pair, in a fixed order.
 
     Partitions are iterated as restricted growth strings (lexicographic),
@@ -92,8 +92,8 @@ def enumerate_templates(s: Sentence, cap: int = DEFAULT_VARIABLE_CAP) -> list[Qu
     q = len(s.vars)
     if q < 1:
         raise PreconditionViolation("sentence must have at least one variable")
-    if q > cap:
-        raise TooManyVariables(f"{q} variables over cap {cap}")
+    if q > DEFAULT_VARIABLE_CAP:
+        raise TooManyVariables(f"{q} variables over cap {DEFAULT_VARIABLE_CAP}")
     names = [v.name for v in s.vars]
     out: list[QuotientTemplate] = []
     seen: set[tuple] = set()
@@ -104,7 +104,7 @@ def enumerate_templates(s: Sentence, cap: int = DEFAULT_VARIABLE_CAP) -> list[Qu
             tuple(name for name in names if block_of[name] == blk) for blk in range(b)
         )
         for rel in _labeled_posets(b):
-            pattern = Poset(rel, validate=True)
+            pattern = Poset(rel, validate=False)  # _labeled_posets yields only partial orders
             if eval_matrix(s.matrix, pattern, block_of):
                 key = (tuple(rgs), rel.tobytes())
                 if key in seen:
@@ -126,7 +126,6 @@ def model_check(
     s: Sentence,
     p: Poset,
     solver: str = "clique",
-    cap: int = DEFAULT_VARIABLE_CAP,
     counter: OpCounter | None = None,
 ) -> tuple[bool, dict[str, int] | None]:
     """Decide whether the sentence holds on the host; witness on success.
@@ -138,9 +137,9 @@ def model_check(
     if p.n == 0:
         raise PreconditionViolation("host poset must be nonempty")
     if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
+        raise PreconditionViolation(f"unknown solver {solver!r}")
     embed = _SOLVERS[solver]
-    for template in enumerate_templates(s, cap=cap):
+    for template in enumerate_templates(s):
         e = embed(template.pattern, p, counter=counter)
         if e is not None:
             witness = {name: int(e[blk]) for name, blk in template.block_of.items()}

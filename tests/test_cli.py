@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import posetmc as pm
-from posetmc.cli import main
+from posetmc.cli import _bench_instances, main
 
 
 def _write(tmp_path, name, text):
@@ -198,6 +198,25 @@ def test_bench_deterministic_modulo_wallclock(capsys):
         return out
 
     assert strip_usec(first) == strip_usec(second)
+
+
+def test_bench_counts_and_witnesses_pinned(capsys):
+    args = ["bench", "--sizes", "50,100", "--qsize", "4", "--width", "3", "--repeats", "2", "--seed", "3"]
+    assert main(args) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [",".join(cells[:6] + cells[7:]) for cells in rows] == [
+        "clique,4,50,3,1,1151,YES",
+        "csp,4,50,3,1,12052,YES",
+        "clique,4,50,3,81,30697,NO",
+        "csp,4,50,3,81,95237,NO",
+        "clique,4,100,3,81,326414,NO",
+        "csp,4,100,3,81,3549552,NO",
+        "clique,4,100,3,81,319346,NO",
+        "csp,4,100,3,81,964442,NO",
+    ]
+    pattern, host = next(_bench_instances([50], 4, 3, 2, 3))
+    assert pm.embed_via_clique(pattern, host) == (17, 0, 1, 2)
+    assert pm.embed_via_csp(pattern, host) == (17, 0, 1, 2)
 
 
 def test_bench_bad_arguments(capsys):

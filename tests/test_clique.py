@@ -98,6 +98,11 @@ def test_hand_built_counterexamples():
     assert not _literal_interval_monotone(cross)
 
 
+def test_colored_graph_shape_mismatch_is_typed_error():
+    with pytest.raises(pm.PosetmcError):
+        pm.ColoredGraph([[0, 1], [2]], {(0, 1): np.ones((2, 2), dtype=bool)})
+
+
 def test_clique_min_single_input_identity():
     q = chain(2)
     p = chain(3)

@@ -137,6 +137,23 @@ def test_poset_equality_and_immutability():
     assert not copied.leq[0, 1]
 
 
+_NOT_TRANSITIVE = np.eye(3, dtype=bool)
+_NOT_TRANSITIVE[0, 1] = _NOT_TRANSITIVE[1, 2] = True  # missing 0 <= 2
+
+
+@pytest.mark.parametrize(
+    "leq",
+    [np.ones((2, 3), dtype=bool), np.zeros((2, 2), dtype=bool), _NOT_TRANSITIVE],
+    ids=["non-square", "non-reflexive", "non-transitive"],
+)
+def test_poset_bad_matrix_is_typed_error(leq):
+    with pytest.raises(pm.PosetmcError):
+        pm.Poset(leq)
+    if leq.shape[0] == leq.shape[1]:
+        with pytest.raises(pm.PosetmcError):
+            pm.Poset(leq, validate=False).validate()
+
+
 @st.composite
 def arc_posets(draw):
     n = draw(st.integers(min_value=1, max_value=6))

@@ -79,6 +79,12 @@ def test_model_check_empty_host_rejected():
         pm.model_check(s, pm.close_and_validate(0, []))
 
 
+def test_model_check_unknown_solver_is_typed_error():
+    s = pm.parse_sentence("E x. x <= x")
+    with pytest.raises(pm.PosetmcError):
+        pm.model_check(s, chain(2), solver="nope")
+
+
 @pytest.mark.parametrize("solver", ["clique", "csp", "brute"])
 def test_model_check_agrees_with_bruteforce(solver, rng):
     for _ in range(40):
