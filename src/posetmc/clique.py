@@ -54,7 +54,10 @@ class ColoredGraph:
         sizes = [len(cls) for cls in self.elements]
         self._adj: dict[tuple[int, int], np.ndarray] = {}
         for i, j in combinations(range(self.k), 2):
-            mat = np.asarray(adjacency[i, j], dtype=bool)
+            try:
+                mat = np.asarray(adjacency[i, j], dtype=bool)
+            except KeyError:
+                raise PreconditionViolation(f"adjacency {(i, j)} is missing") from None
             if mat.shape != (sizes[i], sizes[j]):
                 raise PreconditionViolation(f"adjacency {(i, j)} has shape {mat.shape}")
             self._adj[i, j] = mat

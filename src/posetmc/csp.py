@@ -13,6 +13,8 @@ assembles the canonical least solution.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .clique import ColoredGraph, embed_over_compat_functions
@@ -47,29 +49,24 @@ def solve_min_closed(g: ColoredGraph, counter: OpCounter | None = None) -> tuple
     `assert_min_closed` checks that exhaustively.
     """
     c = counter if counter is not None else OpCounter()
-    alive = [np.ones(g.class_size(v), dtype=bool) for v in range(g.k)]
-    if any(not a.size for a in alive):
+    size = [g.class_size(v) for v in range(g.k)]
+    alive = [np.ones(n, dtype=bool) for n in size]
+    if not all(size):
         return None
-    items = [(x, y, g.adjacency(x, y)) for x in range(g.k) for y in range(x + 1, g.k)]
+    # each pair x < y in order, revising x against y and then y against x
+    pairs = combinations(range(g.k), 2)
+    arcs = [(v, u, g.adjacency(v, u)) for x, y in pairs for v, u in ((x, y), (y, x))]
     changed = True
     while changed:
         changed = False
-        for x, y, rel in items:
-            c.add(int(alive[x].sum()) * int(alive[y].sum()))
-            sup_x = (rel & alive[y][None, :]).any(axis=1)
-            new_x = alive[x] & sup_x
-            if not np.array_equal(new_x, alive[x]):
-                if not new_x.any():
+        for v, u, rel in arcs:
+            c.add(size[v] * size[u])
+            new = alive[v] & (rel & alive[u]).any(axis=1)
+            n = int(new.sum())
+            if n != size[v]:  # new is a subset of alive[v], so equal counts mean no change
+                if not n:
                     return None
-                alive[x] = new_x
-                changed = True
-            c.add(int(alive[x].sum()) * int(alive[y].sum()))
-            sup_y = (rel & alive[x][:, None]).any(axis=0)
-            new_y = alive[y] & sup_y
-            if not np.array_equal(new_y, alive[y]):
-                if not new_y.any():
-                    return None
-                alive[y] = new_y
+                alive[v], size[v] = new, n
                 changed = True
     return tuple(int(np.argmax(a)) for a in alive)
 

@@ -27,11 +27,11 @@ class SimpleGraph:
     def __post_init__(self):
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise PreconditionViolation(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside [0, {self.n})")
             if u > v:
-                raise ValueError("edges must be normalized with u < v")
+                raise PreconditionViolation("edges must be normalized with u < v")
 
     @staticmethod
     def from_edges(n: int, edges) -> "SimpleGraph":
@@ -130,6 +130,8 @@ def random_poset(n: int, density: float, seed: int) -> Poset:
     arcs point from lower to higher index, so the sampled digraph is acyclic
     and the closure never violates antisymmetry.
     """
+    if n < 0:
+        raise PreconditionViolation(f"negative size {n}")
     if not 0.0 <= density <= 1.0:
         raise PreconditionViolation(f"density {density} outside [0, 1]")
     rng = random.Random(seed)
@@ -215,7 +217,7 @@ def parse_graph_text(text: str) -> SimpleGraph:
         raise FormatError("missing 'vertices <n>' line")
     try:
         return SimpleGraph.from_edges(n, edges)
-    except (IndexOutOfRange, ValueError) as exc:
+    except (IndexOutOfRange, PreconditionViolation) as exc:
         raise FormatError(str(exc)) from exc
 
 

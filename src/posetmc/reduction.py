@@ -12,10 +12,8 @@ exponential in q, hence the variable cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations
 from typing import Callable, Iterator
-
-import numpy as np
 
 from . import oracle
 from .clique import embed_via_clique
@@ -56,30 +54,29 @@ def _restricted_growth_strings(q: int) -> Iterator[list[int]]:
     yield from rec(1, 0)
 
 
-def _labeled_posets(b: int) -> Iterator[np.ndarray]:
-    """Every partial order on b labelled points, by sign assignment per pair.
+def _labeled_posets(b: int) -> Iterator[list[list[bool]]]:
+    """Every partial order on b labelled points, as its leq matrix.
 
-    Each unordered pair independently gets incomparable / less / greater;
-    assignments whose relation is not already transitively closed are
-    discarded, so what remains is exactly the set of labelled posets.
+    Pairs i < j are signed depth-first in lexicographic order (incomparable,
+    less, greater), so survivors come in product order.  Pair (m, j) is the
+    last signed in every triple i < m < j, so its sign is kept only while
+    those triples, all signed, stay transitive: every leaf is a partial order.
     """
     pairs = [(i, j) for i in range(b) for j in range(i + 1, b)]
-    for signs in product((0, 1, 2), repeat=len(pairs)):
-        rel = np.eye(b, dtype=bool)
-        for (i, j), s in zip(pairs, signs):
-            if s == 1:
-                rel[i, j] = True
-            elif s == 2:
-                rel[j, i] = True
-        closed = True
-        for m in range(b):
-            # transitivity: rel[i, m] and rel[m, j] must imply rel[i, j]
-            implied = rel[:, m][:, None] & rel[m, :][None, :]
-            if (implied & ~rel).any():
-                closed = False
-                break
-        if closed:
-            yield rel
+    rel = [[i == j for j in range(b)] for i in range(b)]
+
+    def sign(k: int) -> Iterator[list[list[bool]]]:
+        if k == len(pairs):
+            yield [row[:] for row in rel]
+            return
+        m, j = pairs[k]
+        for less, greater in ((False, False), (True, False), (False, True)):
+            rel[m][j], rel[j][m] = less, greater
+            triples = [permutations((i, m, j)) for i in range(m)]
+            if all(rel[x][z] or not (rel[x][y] and rel[y][z]) for t in triples for x, y, z in t):
+                yield from sign(k + 1)
+
+    yield from sign(0)
 
 
 def enumerate_templates(s: Sentence) -> list[QuotientTemplate]:
@@ -106,7 +103,7 @@ def enumerate_templates(s: Sentence) -> list[QuotientTemplate]:
         for rel in _labeled_posets(b):
             pattern = Poset(rel, validate=False)  # _labeled_posets yields only partial orders
             if eval_matrix(s.matrix, pattern, block_of):
-                key = (tuple(rgs), rel.tobytes())
+                key = (tuple(rgs), pattern.leq.tobytes())
                 if key in seen:
                     raise PosetmcError("internal error: duplicate template")
                 seen.add(key)

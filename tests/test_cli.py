@@ -137,6 +137,11 @@ def test_gen_random_antichain(capsys):
     assert "elements 5" in out and "cover" not in out
 
 
+def test_gen_random_negative_size_is_error(capsys):
+    assert main(["gen", "random", "-1", "0.5", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_gen_deterministic(capsys):
     assert main(["gen", "random", "8", "0.5", "42"]) == 0
     first = capsys.readouterr().out

@@ -101,6 +101,8 @@ def test_hand_built_counterexamples():
 def test_colored_graph_shape_mismatch_is_typed_error():
     with pytest.raises(pm.PosetmcError):
         pm.ColoredGraph([[0, 1], [2]], {(0, 1): np.ones((2, 2), dtype=bool)})
+    with pytest.raises(pm.PosetmcError):
+        pm.ColoredGraph([[0], [1]], {})
 
 
 def test_clique_min_single_input_identity():

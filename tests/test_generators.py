@@ -168,3 +168,12 @@ def test_graph_text_roundtrip(rng):
         pm.parse_graph_text("graph t\nedge 0 1\n")
     with pytest.raises(pm.FormatError):
         pm.parse_graph_text("graph t\nvertices 2\nedge 0 5\n")
+    with pytest.raises(pm.FormatError):
+        pm.parse_graph_text("graph t\nvertices 2\nedge 1 1\n")
+
+
+def test_simple_graph_bad_edges_are_typed_errors():
+    with pytest.raises(pm.PreconditionViolation):
+        pm.SimpleGraph(2, frozenset({(1, 1)}))
+    with pytest.raises(pm.PreconditionViolation):
+        pm.SimpleGraph(2, frozenset({(1, 0)}))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,7 +24,7 @@ def test_single_block_template():
 
 
 def _distinct_sentence(q: int) -> pm.Sentence:
-    names = ["x", "y", "z", "u"][:q]
+    names = ["x", "y", "z", "u", "v"][:q]
     atoms = []
     for i in range(q):
         for j in range(i + 1, q):
@@ -37,6 +38,34 @@ def test_labeled_poset_counts():
     # so the template count equals the number of labelled posets
     assert len(pm.enumerate_templates(_distinct_sentence(2))) == 3
     assert len(pm.enumerate_templates(_distinct_sentence(3))) == 19
+    assert len(pm.enumerate_templates(_distinct_sentence(5))) == 4231  # OEIS A001035
+
+
+@pytest.mark.parametrize(
+    "matrix, count, digest",
+    [
+        (
+            "!(a <= b) & !(b <= c) & !(c <= d) & !(d <= e)",
+            1036,
+            "ad61ed8be7e6657cea073bc2fc61c9397ffea4716f697eacf3549d6d45be13a0",
+        ),
+        (
+            "a <= b | !(c = d) & (e <= a | !(b <= e))",
+            5415,
+            "76062bf6825fff843f1e4975cd6cf21474da378f879c71ef5876fbccd6aa0dba",
+        ),
+    ],
+)
+def test_template_sequence_pinned(matrix, count, digest):
+    # blocks, block_of and pattern bytes of every template, in enumeration
+    # order: witnesses depend on that order, not only on the set
+    s = pm.parse_sentence("E a. E b. E c. E d. E e. " + matrix)
+    templates = pm.enumerate_templates(s)
+    h = hashlib.sha256()
+    for t in templates:
+        h.update(repr((t.blocks, t.block_of)).encode())
+        h.update(t.pattern.leq.tobytes())
+    assert (len(templates), h.hexdigest()) == (count, digest)
 
 
 def test_template_count_under_exponential_bound():
