@@ -111,7 +111,10 @@ def _bench_instances(sizes: list[int], qsize: int, width: int, repeats: int, see
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise PosetmcError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     for s in solvers:
         if s not in _SOLVERS:

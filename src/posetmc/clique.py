@@ -16,20 +16,22 @@ coordinatewise-minimum and -maximum cliques over each prefix of classes.
 
 The same graph is the instance of the CSP engine (`csp.py`): classes are its
 domains and the adjacency matrices its relations.  Both engines run through
-`embed_over_compat_functions`, which builds one graph per compatibility
-function and hands it to the engine's solver.
+`embed_over_compat_functions`, which walks the compatibility functions as a
+prefix tree, cuts every prefix that gives two pattern elements an empty
+relation (such a graph has no clique and no CSP solution), and builds one
+graph per remaining leaf for the engine's solver.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import NotIntervalMonotone, PosetmcError, PreconditionViolation
 from .instrument import OpCounter
-from .poset import ChainPartition, Poset, _row_intervals, compat_relations
+from .poset import ChainPartition, Poset, _row_intervals, compat_relations, pair_relation
 from .poset import is_embedding, width_and_chain_partition
 
 
@@ -93,7 +95,7 @@ def build_colored_graph(
 ) -> ColoredGraph:
     """Construct G(P, Q, f) for the given chain partition of the host.
 
-    Edges follow the shared edge rule of `poset.compat_relations`; `cache`,
+    Edges follow the shared edge rule of `poset.pair_relation`; `cache`,
     when supplied, memoizes the per-class-pair adjacency and interval data
     across compatibility functions of one embedding run.
     """
@@ -106,12 +108,16 @@ def embed_over_compat_functions(
     q: Poset, p: Poset, counter: OpCounter | None, solve: Callable[..., tuple[int, ...] | None]
 ) -> tuple[int, ...] | None:
     """Embedding of q into p, or None, trying compatibility functions in
-    lexicographic order (base-w numerals over chain indices), one branch each.
+    lexicographic order (base-w numerals over chain indices).
 
-    Each function's graph is built with one relation memo per call and
-    passed to `solve(g, counter=c)`, which returns one position per class or
-    None.  The first solution is mapped to host elements and re-verified
-    before it is returned.
+    The functions are walked depth first as a prefix tree, f[0] at the root
+    and chains in increasing order.  Chain a is given to pattern element i
+    only while the edge rule relates chains f[j] and a for every j < i; an
+    empty relation leaves no clique and no CSP solution, so the whole
+    subtree is cut.  Each leaf (one branch) builds its graph from the same
+    relation memo and passes it to `solve(g, counter=c)`, which returns one
+    position per class or None.  The first solution is mapped to host
+    elements and re-verified before it is returned.
     """
     if q.n == 0:
         raise PreconditionViolation("pattern must be nonempty")
@@ -120,16 +126,31 @@ def embed_over_compat_functions(
     c = counter if counter is not None else OpCounter()
     w, cp = width_and_chain_partition(p)
     cache: dict = {}
-    for f in product(range(w), repeat=q.n):
-        c.branches += 1
-        g = build_colored_graph(q, p, f, cp, counter=c, cache=cache)
-        sol = solve(g, counter=c)
-        if sol is not None:
-            e = tuple(int(g.elements[i][pos]) for i, pos in enumerate(sol))
-            if not is_embedding(q, p, e):
-                raise PosetmcError("internal error: solver produced a non-embedding")
-            return e
-    return None
+    qleq = q.leq.tolist()
+    k = q.n
+    f = [0] * k
+    i = 0  # f[:i] is a consistent prefix and f[i] the chain tried at depth i
+    while True:
+        keys = ((f[j], f[i], qleq[j][i], qleq[i][j]) for j in range(i))
+        if all(pair_relation(p, cp, key, c, cache)[0].any() for key in keys):
+            if i + 1 < k:
+                i += 1
+                continue
+            c.branches += 1
+            g = build_colored_graph(q, p, f, cp, counter=c, cache=cache)
+            sol = solve(g, counter=c)
+            if sol is not None:
+                e = tuple(int(g.elements[x][pos]) for x, pos in enumerate(sol))
+                if not is_embedding(q, p, e):
+                    raise PosetmcError("internal error: solver produced a non-embedding")
+                return e
+        f[i] += 1
+        while f[i] == w:  # every chain tried at depth i: back up
+            if i == 0:
+                return None
+            f[i] = 0
+            i -= 1
+            f[i] += 1
 
 
 def is_interval_monotone(g: ColoredGraph) -> bool:

@@ -8,8 +8,9 @@ class OpCounter:
 
     `ops` accumulates the number of elementary steps a straightforward
     (non-vectorised) implementation would perform; vectorised code paths
-    add the size of the work they batch.  `branches` counts compatibility
-    functions tried by an embedding solver.
+    add the size of the work they batch.  `branches` counts the leaves of an
+    embedding solver's pruned prefix tree: compatibility functions whose
+    graph was built and solved.
     """
 
     __slots__ = ("ops", "branches")

@@ -9,6 +9,7 @@ partition memoized on a poset is a pure function of `leq`.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -368,17 +369,37 @@ def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def pair_relation(
+    p: Poset, cp: ChainPartition, key: tuple[int, int, bool, bool], c: OpCounter, cache: dict | None
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The edge rule for one pattern pair i < j, keyed by its only inputs.
+
+    `key` is (f[i], f[j], i <=_Q j, j <=_Q i).  The relation, indexed
+    (position on chain f[i], position on chain f[j]), keeps the host pairs
+    (a, b) with a <=_P b iff i <=_Q j and b <=_P a iff j <=_Q i; it comes
+    with the neighbour intervals of its rows and of its columns.  `cache`
+    memoizes entries by key; a hit counts one op, a miss one per host pair.
+    """
+    entry = cache.get(key) if cache is not None else None
+    if entry is not None:
+        c.add(1)
+        return entry
+    ci, cj = cp.chains[key[0]], cp.chains[key[1]]
+    mat = (p.leq[np.ix_(ci, cj)] == key[2]) & (p.leq[np.ix_(cj, ci)].T == key[3])
+    entry = (mat, _row_intervals(mat), _row_intervals(mat.T))
+    c.add(len(ci) * len(cj))
+    if cache is not None:
+        cache[key] = entry
+    return entry
+
+
 def compat_relations(
     q: Poset, p: Poset, f: Sequence[int], cp: ChainPartition, c: OpCounter, cache: dict | None
 ) -> tuple[dict[tuple[int, int], np.ndarray], dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]]:
-    """The edge rule for every pattern pair i < j under f.
+    """The edge rule (`pair_relation`) for every pattern pair i < j under f.
 
-    `relations[(i, j)]`, indexed (position on chain f[i], position on chain
-    f[j]), keeps the host pairs (a, b) with a <=_P b iff i <=_Q j and
-    b <=_P a iff j <=_Q i; `intervals[(i, j)]` and `intervals[(j, i)]` are
-    the neighbour intervals of its rows and columns.  `cache` memoizes
-    entries by (chain pair, pattern relation pair), the rule's only inputs;
-    a hit counts one op, a miss one per host pair.
+    `relations[(i, j)]` is the pair's relation; `intervals[(i, j)]` and
+    `intervals[(j, i)]` are the neighbour intervals of its rows and columns.
     """
     relations: dict[tuple[int, int], np.ndarray] = {}
     intervals: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -387,17 +408,7 @@ def compat_relations(
     for i in range(k):
         for j in range(i + 1, k):
             key = (f[i], f[j], qleq[i][j], qleq[j][i])
-            entry = cache.get(key) if cache is not None else None
-            if entry is None:
-                ci, cj = cp.chains[f[i]], cp.chains[f[j]]
-                mat = (p.leq[np.ix_(ci, cj)] == key[2]) & (p.leq[np.ix_(cj, ci)].T == key[3])
-                entry = (mat, _row_intervals(mat), _row_intervals(mat.T))
-                c.add(len(ci) * len(cj))
-                if cache is not None:
-                    cache[key] = entry
-            else:
-                c.add(1)
-            relations[(i, j)], intervals[(i, j)], intervals[(j, i)] = entry
+            relations[(i, j)], intervals[(i, j)], intervals[(j, i)] = pair_relation(p, cp, key, c, cache)
     return relations, intervals
 
 
@@ -408,6 +419,14 @@ def compat_relations(
 #   cover <u> <v>        # 0-based, u < v; the closure is taken on load
 #
 # `leq <u> <v>` is accepted as a synonym for `cover`; `#` starts a comment.
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or NumPy's index bound where that is unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
 
 
 def parse_poset_text(text: str) -> Poset:
@@ -430,8 +449,9 @@ def parse_poset_text(text: str) -> Poset:
             if len(fields) != 2 or not fields[1].isdigit():
                 raise FormatError(f"line {lineno}: expected 'elements <n>'")
             n = int(fields[1])
-            # the closure works on an n-by-n float32 copy; NumPy sizes are Py_ssize_t
-            if 4 * n * n > sys.maxsize:
+            # the closure holds about 13 bytes per matrix cell: the bool relation,
+            # its float32 copies and their float32 product
+            if 13 * n * n > _physical_memory():
                 raise FormatError(f"line {lineno}: {n} elements do not fit a dense relation matrix")
         elif kind in ("cover", "leq"):
             if len(fields) != 3:

@@ -94,14 +94,22 @@ def enumerate_templates(s: Sentence) -> list[QuotientTemplate]:
     names = [v.name for v in s.vars]
     out: list[QuotientTemplate] = []
     seen: set[tuple] = set()
+    # block posets per block count, built once; _labeled_posets yields only
+    # partial orders.  Only the all-distinct partition has q blocks, so
+    # those posets, the most numerous, stream instead.
+    posets: dict[int, list[Poset]] = {}
     for rgs in _restricted_growth_strings(q):
         b = max(rgs) + 1
         block_of = {name: rgs[i] for i, name in enumerate(names)}
         blocks = tuple(
             tuple(name for name in names if block_of[name] == blk) for blk in range(b)
         )
-        for rel in _labeled_posets(b):
-            pattern = Poset(rel, validate=False)  # _labeled_posets yields only partial orders
+        patterns = posets.get(b)
+        if patterns is None:
+            patterns = (Poset(rel, validate=False) for rel in _labeled_posets(b))
+            if b < q:
+                patterns = posets[b] = list(patterns)
+        for pattern in patterns:
             if eval_matrix(s.matrix, pattern, block_of):
                 key = (tuple(rgs), pattern.leq.tobytes())
                 if key in seen:

@@ -210,14 +210,14 @@ def test_bench_counts_and_witnesses_pinned(capsys):
     assert main(args) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
     assert [",".join(cells[:6] + cells[7:]) for cells in rows] == [
-        "clique,4,50,3,1,1151,YES",
-        "csp,4,50,3,1,12052,YES",
-        "clique,4,50,3,81,30697,NO",
-        "csp,4,50,3,81,95237,NO",
-        "clique,4,100,3,81,326414,NO",
-        "csp,4,100,3,81,3549552,NO",
-        "clique,4,100,3,81,319346,NO",
-        "csp,4,100,3,81,964442,NO",
+        "clique,4,50,3,1,1157,YES",
+        "csp,4,50,3,1,12058,YES",
+        "clique,4,50,3,0,2566,NO",
+        "csp,4,50,3,0,2566,NO",
+        "clique,4,100,3,36,159227,NO",
+        "csp,4,100,3,36,3387031,NO",
+        "clique,4,100,3,6,28673,NO",
+        "csp,4,100,3,6,650003,NO",
     ]
     pattern, host = next(_bench_instances([50], 4, 3, 2, 3))
     assert pm.embed_via_clique(pattern, host) == (17, 0, 1, 2)
@@ -227,6 +227,11 @@ def test_bench_counts_and_witnesses_pinned(capsys):
 def test_bench_bad_arguments(capsys):
     assert main(["bench", "--sizes", "10", "--solvers", "nope"]) == 2
     capsys.readouterr()
+
+
+def test_bench_non_integer_size_is_error(capsys):
+    assert main(["bench", "--sizes", "10,x"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_console_entry_point():

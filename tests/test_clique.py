@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import posetmc as pm
 from posetmc.clique import compute_clique_tables
@@ -293,3 +295,81 @@ def test_embed_three_way_agreement(rng):
         assert (ref is None) == (via_csp is None) == (via_clique is None)
         if via_clique is not None:
             assert pm.is_embedding(q, p, via_clique)
+
+
+def _product_loop(q, p, solve):
+    """The loop the prefix-tree walk replaced: every compatibility function
+    in lexicographic order, one graph each; (witness or None, branches)."""
+    c = pm.OpCounter()
+    w, cp = pm.width_and_chain_partition(p)
+    cache: dict = {}
+    for f in product(range(w), repeat=q.n):
+        c.branches += 1
+        g = pm.build_colored_graph(q, p, f, cp, counter=c, cache=cache)
+        sol = solve(g, counter=c)
+        if sol is not None:
+            return tuple(int(g.elements[i][pos]) for i, pos in enumerate(sol)), c.branches
+    return None, c.branches
+
+
+@st.composite
+def _adversarial_hosts(draw):
+    """Hosts of at most 16 elements (the oracle's default cap) and width at most 5."""
+    kind = draw(st.sampled_from(["graph", "stack", "banded", "union"]))
+    seeds = st.integers(0, 2**30)
+    density = st.floats(0.0, 1.0)
+    if kind == "graph":
+        n = draw(st.integers(1, 4))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        host = pm.poset_of_graph(pm.SimpleGraph.from_edges(n, edges))
+    elif kind == "stack":
+        sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        host = pm.stack_posets([pm.random_poset(s, draw(density), draw(seeds)) for s in sizes])
+    elif kind == "banded":
+        w = draw(st.integers(1, 5))
+        n = draw(st.integers(w, 16))
+        offsets = draw(st.lists(st.integers(0, 2), min_size=w, max_size=w))
+        host = pm.banded_poset(n, w, band=draw(st.integers(1, 2)), offsets=offsets)
+    else:
+        a = pm.random_poset(draw(st.integers(1, 8)), draw(density), draw(seeds))
+        b = pm.banded_poset(draw(st.integers(2, 8)), 2, band=1)
+        host = pm.disjoint_union(a, b)
+    assume(pm.width_and_chain_partition(host)[0] <= 5)
+    return host
+
+
+@st.composite
+def _relabelled_patterns(draw):
+    """random_poset orders along the index; a relabelling orients pairs both ways."""
+    k = draw(st.integers(1, 4))
+    leq = pm.random_poset(k, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**30))).leq
+    perm = draw(st.permutations(range(k)))
+    return pm.Poset(leq[np.ix_(perm, perm)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_adversarial_hosts(), _relabelled_patterns())
+def test_prefix_tree_matches_product_loop(host, pattern):
+    expected = pm.brute_force_embed(pattern, host) is not None
+    engines = [(pm.embed_via_clique, pm.solve_multicolored_clique), (pm.embed_via_csp, pm.solve_min_closed)]
+    for embed, solve in engines:
+        counter = pm.OpCounter()
+        e = embed(pattern, host, counter)
+        loop_e, loop_branches = _product_loop(pattern, host, solve)
+        assert e == loop_e
+        assert (e is not None) == expected
+        assert counter.branches <= loop_branches
+
+
+def test_prefix_tree_cuts_antichain_overflow_to_no_leaves():
+    # a 4-antichain below one top element cannot embed into width 3: every
+    # assignment puts two antichain elements on one chain, an empty relation
+    leq = np.eye(5, dtype=bool)
+    leq[:, 4] = True
+    pattern = pm.Poset(leq)
+    host = pm.banded_poset(300, 3, band=1)
+    for embed in (pm.embed_via_clique, pm.embed_via_csp):
+        counter = pm.OpCounter()
+        assert embed(pattern, host, counter) is None
+        assert counter.branches == 0

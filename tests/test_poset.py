@@ -205,6 +205,12 @@ def test_poset_text_leq_synonym_and_comments():
     assert p.leq[0, 2]
 
 
+def test_poset_text_elements_over_memory_is_error():
+    # about 9 TB for the bool matrix alone; rejected before anything is allocated
+    with pytest.raises(pm.FormatError, match="3000000 elements"):
+        pm.parse_poset_text("poset t\nelements 3000000\n")
+
+
 def test_poset_text_errors():
     with pytest.raises(pm.FormatError):
         pm.parse_poset_text("poset t\ncover 0 1\n")  # no elements line
