@@ -12,7 +12,7 @@ import sys
 import time
 from typing import Sequence
 
-from .errors import PosetmcError
+from .errors import FormulaSyntaxError, PosetmcError
 from .generators import banded_poset, independent_poset, load_graph, poset_of_graph, random_poset, stack_posets
 from .instrument import OpCounter
 from .logic import Sentence, eval_matrix, parse_sentence
@@ -33,7 +33,11 @@ def _load_sentence(args) -> Sentence:
         return parse_sentence(args.phi)
     if args.formula is not None:
         with open(args.formula, "r", encoding="utf-8") as fh:
-            return parse_sentence(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise FormulaSyntaxError(f"{args.formula}: not UTF-8 text", exc.start) from None
+        return parse_sentence(text)
     raise PosetmcError("one of --phi or --formula is required")
 
 

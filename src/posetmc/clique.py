@@ -15,17 +15,19 @@ time proportional to k times the edge count, by tabulating per vertex the
 coordinatewise-minimum and -maximum cliques over each prefix of classes.
 
 The same graph is the instance of the CSP engine (`csp.py`): classes are its
-domains and the adjacency matrices its relations.  Both engines run through
-`embed_over_compat_functions`, which walks the compatibility functions as a
-prefix tree, cuts every prefix that gives two pattern elements an empty
-relation (such a graph has no clique and no CSP solution), and builds one
-graph per remaining leaf for the engine's solver.
+domains and the adjacency matrices its relations.  Each engine is one step
+that adds class i to the solver state of classes 0..i-1 (`clique_step`, the
+MinK/MaxK rows of class i; `csp.csp_step`, arc-consistent domains).  The
+whole-graph solvers fold that step over a `ColoredGraph`;
+`embed_over_compat_functions` walks the compatibility functions as a prefix
+tree and keeps one state per depth, so each row or domain is computed once
+per prefix, and a prefix with no partial solution cuts its subtree.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,8 +83,36 @@ class ColoredGraph:
             self._ivals[key] = _row_intervals(self.adjacency(i, j))
         return self._ivals[key]
 
+    def entries(self, i: int) -> list["_GraphPair"]:
+        """Class i's pairs (j, i), j < i, laid out like `poset.pair_relation`
+        memo entries (see `_GraphPair`): the input a step reads when it adds
+        class i."""
+        return [_GraphPair(self, j, i) for j in range(i)]
+
     def edge_count(self) -> int:
         return sum(int(m.sum()) for m in self._adj.values())
+
+
+class _GraphPair:
+    """Pair (j, i), j < i, of a coloured graph indexed like the first three
+    items of a memo entry: [0] the relation with class-j rows, [1] the
+    intervals of class j into i, [2] those of class i into j.  Items are
+    computed on access, so a step that reads no intervals (the CSP's)
+    computes none."""
+
+    __slots__ = ("g", "j", "i")
+
+    def __init__(self, g: ColoredGraph, j: int, i: int):
+        self.g, self.j, self.i = g, j, i
+
+    def __getitem__(self, item: int):
+        if item == 0:
+            return self.g.adjacency(self.j, self.i)
+        if item == 1:
+            return self.g.intervals(self.j, self.i)
+        if item == 2:
+            return self.g.intervals(self.i, self.j)
+        raise IndexError(item)
 
 
 def build_colored_graph(
@@ -104,8 +134,11 @@ def build_colored_graph(
     return ColoredGraph([cp.arrays[f[i]] for i in range(q.n)], adjacency, intervals)
 
 
+Step = Callable[[Any, int, int, list, OpCounter], Any]
+
+
 def embed_over_compat_functions(
-    q: Poset, p: Poset, counter: OpCounter | None, solve: Callable[..., tuple[int, ...] | None]
+    q: Poset, p: Poset, counter: OpCounter | None, step: Step, solution: Callable[[Any], tuple[int, ...]]
 ) -> tuple[int, ...] | None:
     """Embedding of q into p, or None, trying compatibility functions in
     lexicographic order (base-w numerals over chain indices).
@@ -114,10 +147,15 @@ def embed_over_compat_functions(
     and chains in increasing order.  Chain a is given to pattern element i
     only while the edge rule relates chains f[j] and a for every j < i; an
     empty relation leaves no clique and no CSP solution, so the whole
-    subtree is cut.  Each leaf (one branch) builds its graph from the same
-    relation memo and passes it to `solve(g, counter=c)`, which returns one
-    position per class or None.  The first solution is mapped to host
-    elements and re-verified before it is returned.
+    subtree is cut.  At each leaf reached this way (one branch) the engine's
+    `step(state, i, chain size, memo entries of the pairs (j, i), counter)`
+    adds classes to the solver state of classes 0..i-1, one depth at a time
+    from the first depth whose prefix changed since the last leaf; states
+    stay on a stack, so each is computed once per prefix.  A step returns
+    None when its prefix has no partial solution: the walk then cuts back
+    to that depth.  `solution(state)` of a full state gives one position
+    per class; it is mapped to host elements and re-verified before it is
+    returned.
     """
     if q.n == 0:
         raise PreconditionViolation("pattern must be nonempty")
@@ -129,21 +167,36 @@ def embed_over_compat_functions(
     qleq = q.leq.tolist()
     k = q.n
     f = [0] * k
+    entries: list = [None] * k  # entries[i]: memo entries of the pairs (j, i), j < i, under f
+    states: list = [None] * k  # states[d]: solver state of classes 0..d
+    solved = 0  # states[:solved] belong to the current f[:solved]
     i = 0  # f[:i] is a consistent prefix and f[i] the chain tried at depth i
     while True:
-        keys = ((f[j], f[i], qleq[j][i], qleq[i][j]) for j in range(i))
-        if all(pair_relation(p, cp, key, c, cache)[0].any() for key in keys):
+        row = []
+        for j in range(i):
+            entry = pair_relation(p, cp, (f[j], f[i], qleq[j][i], qleq[i][j]), c, cache)
+            if not entry[3]:
+                break
+            row.append(entry)
+        if len(row) == i:
+            entries[i] = row
             if i + 1 < k:
                 i += 1
                 continue
             c.branches += 1
-            g = build_colored_graph(q, p, f, cp, counter=c, cache=cache)
-            sol = solve(g, counter=c)
-            if sol is not None:
-                e = tuple(int(g.elements[x][pos]) for x, pos in enumerate(sol))
+            while solved < k:
+                prev = states[solved - 1] if solved else None
+                state = step(prev, solved, len(cp.chains[f[solved]]), entries[solved], c)
+                if state is None:
+                    break
+                states[solved] = state
+                solved += 1
+            if solved == k:
+                e = tuple(cp.chains[f[x]][pos] for x, pos in enumerate(solution(states[-1])))
                 if not is_embedding(q, p, e):
                     raise PosetmcError("internal error: solver produced a non-embedding")
                 return e
+            i = solved  # f[:solved + 1] has no partial solution: cut its subtree
         f[i] += 1
         while f[i] == w:  # every chain tried at depth i: back up
             if i == 0:
@@ -151,6 +204,21 @@ def embed_over_compat_functions(
             f[i] = 0
             i -= 1
             f[i] += 1
+        solved = min(solved, i)
+
+
+def fold_classes(g: ColoredGraph, step: Step, counter: OpCounter | None = None) -> tuple[Any, int]:
+    """Fold `step` over the classes of g in order: the last state it returned
+    (None before class 0) and the number of classes that state covers, which
+    is below g.k when some prefix has no partial solution."""
+    c = counter if counter is not None else OpCounter()
+    state = None
+    for i in range(g.k):
+        nxt = step(state, i, g.class_size(i), g.entries(i), c)
+        if nxt is None:
+            return state, i
+        state = nxt
+    return state, g.k
 
 
 def is_interval_monotone(g: ColoredGraph) -> bool:
@@ -252,24 +320,21 @@ class CliqueTable:
 
 
 def _extend(
-    g: ColoredGraph,
-    ci: int,
-    v: int,
-    min_tables: list,
-    max_tables: list,
-    want_min: bool,
-    c: OpCounter,
+    ivals: tuple, ci: int, v: int, mins: tuple, maxs: tuple, want_min: bool, c: OpCounter
 ) -> tuple[int, ...] | None:
     """One table entry: grow X = {v} downward through classes ci-1 .. 0.
 
+    `ivals[i][l]` holds the neighbour intervals (lo, hi) of class i into
+    class l < i; `mins[j]` / `maxs[j]` are the MinK / MaxK rows of class j.
     At class j the candidate set N_j(X) is the running interval intersection;
     candidates are scanned from the extreme end, and a candidate x is accepted
     when its own extreme table entry of the opposite kind lies inside the
     running up-set (resp. down-set) thresholds of X.
     """
-    los = [int(g.intervals(ci, l)[0][v]) for l in range(ci)]
-    his = [int(g.intervals(ci, l)[1][v]) for l in range(ci)]
-    c.add(ci)
+    own = ivals[ci]
+    los = [own[l][0][v] for l in range(ci)]
+    his = [own[l][1][v] for l in range(ci)]
+    ops = ci
     result = [-1] * (ci + 1)
     result[ci] = v
     for j in range(ci - 1, -1, -1):
@@ -278,11 +343,11 @@ def _extend(
         if want_min:
             x = low
             while x <= high:
-                c.add(1 + j)
+                ops += 1 + j
                 if j == 0:
                     found = x
                     break
-                entry = max_tables[j + 1][x]
+                entry = maxs[j][x]
                 if entry is not None and all(entry[l] >= los[l] for l in range(j)):
                     found = x
                     break
@@ -290,51 +355,67 @@ def _extend(
         else:
             x = high
             while x >= low:
-                c.add(1 + j)
+                ops += 1 + j
                 if j == 0:
                     found = x
                     break
-                entry = min_tables[j + 1][x]
+                entry = mins[j][x]
                 if entry is not None and all(entry[l] <= his[l] for l in range(j)):
                     found = x
                     break
                 x -= 1
         if found < 0:
+            c.add(ops)
             return None
         result[j] = found
-        for l in range(j):
-            lo_arr, hi_arr = g.intervals(j, l)
-            los[l] = max(los[l], int(lo_arr[found]))
-            his[l] = min(his[l], int(hi_arr[found]))
-        c.add(j)
-    entry = tuple(result)
-    if entry[ci] != v:
+        for l, (lo_row, hi_row) in enumerate(ivals[j]):
+            los[l] = max(los[l], lo_row[found])
+            his[l] = min(his[l], hi_row[found])
+        ops += j
+    c.add(ops)
+    if result[ci] != v:
         raise PosetmcError("internal error: table entry does not end at its vertex")
-    return entry
+    return tuple(result)
+
+
+def clique_step(state: tuple | None, i: int, size: int, entries: list, c: OpCounter) -> tuple | None:
+    """Add class i to the MinK/MaxK rows of classes 0..i-1.
+
+    The state is (ivals, mins, maxs), one item per class (see `_extend`);
+    `entries[j][2]` holds the intervals of class i into class j.  Class 0's
+    rows are the trivial cliques {v}.  Returns None when the MinK row of
+    class i has no entry: then classes 0..i have no clique.
+    """
+    ivals, mins, maxs = state if state is not None else ((), (), ())
+    ivals = (*ivals, tuple((e[2][0].tolist(), e[2][1].tolist()) for e in entries))
+    if i == 0:
+        if not size:
+            return None
+        min_row = max_row = [(v,) for v in range(size)]
+    else:
+        min_row = [_extend(ivals, i, v, mins, maxs, True, c) for v in range(size)]
+        if all(entry is None for entry in min_row):
+            return None
+        max_row = [_extend(ivals, i, v, mins, maxs, False, c) for v in range(size)]
+    return ivals, (*mins, min_row), (*maxs, max_row)
+
+
+def _least_clique(state: tuple) -> tuple[int, ...]:
+    """The MinK entry of the class-order-least last-class vertex that has one."""
+    return next(entry for entry in state[1][-1] if entry is not None)
 
 
 def compute_clique_tables(g: ColoredGraph, counter: OpCounter | None = None) -> CliqueTable:
-    """Fill MinK and MaxK for every prefix size 1..k.
+    """Fill MinK and MaxK for every prefix size 1..k by folding `clique_step`.
 
     Size 1 is the trivial base row {v}; size i is computed from the opposite
-    tables of sizes below i, exactly one entry per vertex.
+    tables of sizes below i, exactly one entry per vertex.  Once a prefix has
+    no clique, every larger size has none, and its rows are all None.
     """
-    c = counter if counter is not None else OpCounter()
-    k = g.k
-    min_tables: list = [None] * (k + 1)
-    max_tables: list = [None] * (k + 1)
-    base = [(v,) for v in range(g.class_size(0))] if k >= 1 else []
-    min_tables[1] = list(base)
-    max_tables[1] = list(base)
-    for i in range(2, k + 1):
-        ci = i - 1
-        min_tables[i] = [
-            _extend(g, ci, v, min_tables, max_tables, True, c) for v in range(g.class_size(ci))
-        ]
-        max_tables[i] = [
-            _extend(g, ci, v, min_tables, max_tables, False, c) for v in range(g.class_size(ci))
-        ]
-    return CliqueTable(min_tables, max_tables)
+    state, done = fold_classes(g, clique_step, counter)
+    _, mins, maxs = state if state is not None else ((), (), ())
+    empty = [[None] * g.class_size(i) for i in range(done, g.k)]
+    return CliqueTable([None, *mins, *empty], [None, *maxs, *empty])
 
 
 def solve_multicolored_clique(
@@ -347,12 +428,8 @@ def solve_multicolored_clique(
     """
     if g.k == 0:
         raise PreconditionViolation("coloured graph needs at least one class")
-    tables = compute_clique_tables(g, counter)
-    for v in range(g.class_size(g.k - 1)):
-        entry = tables.min_entry(g.k, v)
-        if entry is not None:
-            return entry
-    return None
+    state, done = fold_classes(g, clique_step, counter)
+    return _least_clique(state) if done == g.k else None
 
 
 def embed_via_clique(q: Poset, p: Poset, counter: OpCounter | None = None) -> tuple[int, ...] | None:
@@ -362,4 +439,4 @@ def embed_via_clique(q: Poset, p: Poset, counter: OpCounter | None = None) -> tu
     `embed_over_compat_functions`); the witness comes from the first
     successful one and is re-verified against the embedding definition.
     """
-    return embed_over_compat_functions(q, p, counter, solve_multicolored_clique)
+    return embed_over_compat_functions(q, p, counter, clique_step, _least_clique)

@@ -9,15 +9,21 @@ comparabilities mirror the pattern's.  Every such relation is closed under
 the coordinatewise chain minimum, so enforcing pairwise arc consistency
 decides satisfiability, and the chain-least survivor of each domain
 assembles the canonical least solution.
+
+Arc consistency is built one variable at a time (`csp_step`).  The domains
+of a prefix of variables contain those of every extension, so a variable
+can be added on top of its prefix's fixpoint: `solve_min_closed` folds the
+step over a whole graph, and the embedding walk keeps one state per prefix
+of a compatibility function (`clique.embed_over_compat_functions`).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import deque
 
 import numpy as np
 
-from .clique import ColoredGraph, embed_over_compat_functions
+from .clique import ColoredGraph, embed_over_compat_functions, fold_classes
 from .errors import NotMinClosed
 from .instrument import OpCounter
 from .poset import Poset
@@ -41,38 +47,62 @@ def assert_min_closed(g: ColoredGraph) -> None:
                 raise NotMinClosed(f"constraint {(x, y)} is not min-closed")
 
 
+def csp_step(state: tuple | None, i: int, size: int, entries: list, c: OpCounter) -> tuple | None:
+    """Add variable i to the arc-consistent domains of variables 0..i-1.
+
+    The state is (alive, sizes, rels): per variable its surviving positions
+    as a boolean mask and their count, and `rels[y][x]` the relation of the
+    pair x < y with x's positions as rows (`entries[x][0]` for y = i).  The
+    new domain starts as its whole chain; a worklist seeded by the arcs that
+    touch i revises to the fixpoint, re-queueing the arcs into a domain that
+    shrank.  The fixpoint is the greatest arc-consistent one whatever the
+    order, so it is the one a whole-instance run reaches.  Returns None when
+    a domain empties.
+    """
+    if not size:
+        return None
+    alive, sizes, rels = state if state is not None else ((), (), ())
+    alive = [*alive, np.ones(size, dtype=bool)]
+    sizes = [*sizes, size]
+    rels = (*rels, [e[0] for e in entries])
+    queue = deque([(i, j) for j in range(i)] + [(j, i) for j in range(i)])
+    queued = set(queue)
+    while queue:
+        v, u = arc = queue.popleft()  # revise v against u
+        queued.remove(arc)
+        c.add(sizes[v] * sizes[u])
+        rel = rels[u][v] if v < u else rels[v][u].T
+        new = alive[v] & (rel @ alive[u])  # boolean product: some live partner in u
+        n = np.count_nonzero(new)
+        if n != sizes[v]:  # new is a subset of alive[v], so equal counts mean no change
+            if not n:
+                return None
+            alive[v], sizes[v] = new, n
+            for x in range(i + 1):
+                if x != v and x != u and (x, v) not in queued:
+                    queued.add((x, v))
+                    queue.append((x, v))
+    return alive, sizes, rels
+
+
+def _least_survivors(state: tuple | None) -> tuple[int, ...]:
+    return tuple(int(np.argmax(a)) for a in state[0]) if state is not None else ()
+
+
 def solve_min_closed(g: ColoredGraph, counter: OpCounter | None = None) -> tuple[int, ...] | None:
-    """Arc consistency to fixpoint, then the least survivor of each domain.
+    """Arc consistency to fixpoint (`csp_step` folded over the variables),
+    then the least survivor of each domain.
 
     Returns the coordinatewise-minimum solution (one position per class) or
     None when some domain empties.  Correct only for min-closed relations;
     `assert_min_closed` checks that exhaustively.
     """
-    c = counter if counter is not None else OpCounter()
-    size = [g.class_size(v) for v in range(g.k)]
-    alive = [np.ones(n, dtype=bool) for n in size]
-    if not all(size):
-        return None
-    # each pair x < y in order, revising x against y and then y against x
-    pairs = combinations(range(g.k), 2)
-    arcs = [(v, u, g.adjacency(v, u)) for x, y in pairs for v, u in ((x, y), (y, x))]
-    changed = True
-    while changed:
-        changed = False
-        for v, u, rel in arcs:
-            c.add(size[v] * size[u])
-            new = alive[v] & (rel & alive[u]).any(axis=1)
-            n = int(new.sum())
-            if n != size[v]:  # new is a subset of alive[v], so equal counts mean no change
-                if not n:
-                    return None
-                alive[v], size[v] = new, n
-                changed = True
-    return tuple(int(np.argmax(a)) for a in alive)
+    state, done = fold_classes(g, csp_step, counter)
+    return _least_survivors(state) if done == g.k else None
 
 
 def embed_via_csp(q: Poset, p: Poset, counter: OpCounter | None = None) -> tuple[int, ...] | None:
     """Embedding of q into p, or None, by looping the CSP over all
     compatibility functions in lexicographic order (see
     `clique.embed_over_compat_functions`)."""
-    return embed_over_compat_functions(q, p, counter, solve_min_closed)
+    return embed_over_compat_functions(q, p, counter, csp_step, _least_survivors)

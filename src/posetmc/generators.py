@@ -229,4 +229,8 @@ def format_graph_text(g: SimpleGraph, name: str = "g") -> str:
 
 def load_graph(path: str) -> SimpleGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_graph_text(text)

@@ -113,11 +113,18 @@ def _tokenize(text: str) -> list[_Token]:
 
 _RNot = tuple  # ("not", node) | ("and", items) | ("or", items) | ("atom", kind, l, r)
 
+# Parentheses and negations open at once.  Every recursive walk of a formula
+# (this parser, `_to_nnf`, `eval_matrix`, `format_matrix`) takes at most
+# three frames per level, so this keeps them well inside Python's default
+# recursion limit of 1000.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -172,14 +179,18 @@ class _Parser:
 
     def parse_unary(self) -> _RNot:
         tok = self.peek()
-        if tok.kind == "not":
+        if tok.kind in ("not", "lp"):
             self.take()
-            return ("not", self.parse_unary())
-        if tok.kind == "lp":
-            self.take()
-            inner = self.parse_or()
-            self.expect("rp", "')'")
-            return inner
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+            if tok.kind == "not":
+                node = ("not", self.parse_unary())
+            else:
+                node = self.parse_or()
+                self.expect("rp", "')'")
+            self.depth -= 1
+            return node
         left = self.ident("a variable name")
         op = self.take()
         if op.kind == "leq":

@@ -371,14 +371,15 @@ def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_relation(
     p: Poset, cp: ChainPartition, key: tuple[int, int, bool, bool], c: OpCounter, cache: dict | None
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], bool]:
     """The edge rule for one pattern pair i < j, keyed by its only inputs.
 
     `key` is (f[i], f[j], i <=_Q j, j <=_Q i).  The relation, indexed
     (position on chain f[i], position on chain f[j]), keeps the host pairs
     (a, b) with a <=_P b iff i <=_Q j and b <=_P a iff j <=_Q i; it comes
-    with the neighbour intervals of its rows and of its columns.  `cache`
-    memoizes entries by key; a hit counts one op, a miss one per host pair.
+    with the neighbour intervals of its rows and of its columns, and with
+    whether it is nonempty.  `cache` memoizes entries by key; a hit counts
+    one op, a miss one per host pair.
     """
     entry = cache.get(key) if cache is not None else None
     if entry is not None:
@@ -386,7 +387,7 @@ def pair_relation(
         return entry
     ci, cj = cp.chains[key[0]], cp.chains[key[1]]
     mat = (p.leq[np.ix_(ci, cj)] == key[2]) & (p.leq[np.ix_(cj, ci)].T == key[3])
-    entry = (mat, _row_intervals(mat), _row_intervals(mat.T))
+    entry = (mat, _row_intervals(mat), _row_intervals(mat.T), bool(mat.any()))
     c.add(len(ci) * len(cj))
     if cache is not None:
         cache[key] = entry
@@ -408,7 +409,7 @@ def compat_relations(
     for i in range(k):
         for j in range(i + 1, k):
             key = (f[i], f[j], qleq[i][j], qleq[j][i])
-            relations[(i, j)], intervals[(i, j)], intervals[(j, i)] = pair_relation(p, cp, key, c, cache)
+            relations[(i, j)], intervals[(i, j)], intervals[(j, i)], _ = pair_relation(p, cp, key, c, cache)
     return relations, intervals
 
 
@@ -479,4 +480,8 @@ def format_poset_text(p: Poset, name: str = "p") -> str:
 
 def load_poset(path: str) -> Poset:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_poset_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_poset_text(text)

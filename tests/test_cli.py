@@ -97,6 +97,43 @@ def test_embed_oversized_poset_is_error(tmp_path, capsys):
     assert "10000000000 elements" in capsys.readouterr().err
 
 
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+NOT_UTF8 = b"\xff\xfe" + "poset p\nelements 2\n".encode("utf-16-le")
+
+
+def test_non_utf8_poset_is_error(tmp_path, capsys):
+    path = _write_bytes(tmp_path, "p.poset", NOT_UTF8)
+    assert main(["width", "--poset", path]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_graph_is_error(tmp_path, capsys):
+    path = _write_bytes(tmp_path, "g.graph", NOT_UTF8)
+    assert main(["gen", "poset-of-graph", path]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_formula_is_error(tmp_path, chain2, capsys):
+    path = _write_bytes(tmp_path, "phi.txt", b"\xff\xfe" + PHI.encode("utf-16-le"))
+    assert main(["check", "--formula", path, "--poset", chain2]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "phi",
+    ["E x. " + "(" * 400 + "x <= x" + ")" * 400, "E x. " + "!" * 3000 + "x <= x"],
+    ids=["parentheses", "negations"],
+)
+def test_deep_nesting_is_error(chain2, phi, capsys):
+    assert main(["check", "--phi", phi, "--poset", chain2]) == 2
+    assert "nesting deeper than" in capsys.readouterr().err
+
+
 def test_width_output(tmp_path, capsys):
     i4 = _write(tmp_path, "i4.poset", pm.format_poset_text(pm.independent_poset(4)))
     assert main(["width", "--poset", i4]) == 0
@@ -210,14 +247,14 @@ def test_bench_counts_and_witnesses_pinned(capsys):
     assert main(args) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
     assert [",".join(cells[:6] + cells[7:]) for cells in rows] == [
-        "clique,4,50,3,1,1157,YES",
-        "csp,4,50,3,1,12058,YES",
+        "clique,4,50,3,1,1151,YES",
+        "csp,4,50,3,1,5557,YES",
         "clique,4,50,3,0,2566,NO",
         "csp,4,50,3,0,2566,NO",
-        "clique,4,100,3,36,159227,NO",
-        "csp,4,100,3,36,3387031,NO",
-        "clique,4,100,3,6,28673,NO",
-        "csp,4,100,3,6,650003,NO",
+        "clique,4,100,3,12,22775,NO",
+        "csp,4,100,3,12,421317,NO",
+        "clique,4,100,3,6,26879,NO",
+        "csp,4,100,3,6,559343,NO",
     ]
     pattern, host = next(_bench_instances([50], 4, 3, 2, 3))
     assert pm.embed_via_clique(pattern, host) == (17, 0, 1, 2)

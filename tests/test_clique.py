@@ -373,3 +373,14 @@ def test_prefix_tree_cuts_antichain_overflow_to_no_leaves():
         counter = pm.OpCounter()
         assert embed(pattern, host, counter) is None
         assert counter.branches == 0
+
+
+def test_pattern_longer_than_host_is_cut():
+    # 11 elements cannot fit 10: a prefix that puts more elements on a chain
+    # than it has has no partial solution, so its whole subtree is cut
+    pattern = chain(11)
+    host = pm.banded_poset(10, 3, band=1)
+    for embed in (pm.embed_via_clique, pm.embed_via_csp):
+        counter = pm.OpCounter()
+        assert embed(pattern, host, counter) is None
+        assert counter.branches == 135

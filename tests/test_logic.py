@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetmc as pm
-from posetmc.logic import And, AtomKind, Lit, Or
+from posetmc import logic
+from posetmc.logic import And, AtomKind, Lit, Or, format_sentence
 from conftest import antichain, chain, make_sentence_text
 
 
@@ -50,6 +51,20 @@ def test_parse_errors_carry_position():
         pm.parse_sentence("E x. (x <= x")
     with pytest.raises(pm.FormulaSyntaxError):
         pm.parse_sentence("E x. x <= x x = x")
+
+
+def test_nesting_limit():
+    # alternating & and | under negations: every level is a node of the NNF tree
+    levels = logic.MAX_NESTING
+    deepest = "(x <= y & !(y <= x | " * (levels // 3) + "x = y" + "))" * (levels // 3)
+    s = pm.parse_sentence("E x. E y. " + deepest)
+    assert pm.parse_sentence(format_sentence(s)) == s
+    assert pm.model_check(s, chain(2))[0] == pm.brute_force_model_check(s, chain(2))
+    text = "E x. " + "(" * levels + "!" + "x <= x" + ")" * levels
+    with pytest.raises(pm.FormulaSyntaxError) as exc:
+        pm.parse_sentence(text)
+    assert exc.value.pos == text.index("!")
+    pm.parse_sentence(text.replace("!", ""))
 
 
 def test_eval_matrix_examples():
