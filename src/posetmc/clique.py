@@ -84,9 +84,8 @@ class ColoredGraph:
         return self._ivals[key]
 
     def entries(self, i: int) -> list["_GraphPair"]:
-        """Class i's pairs (j, i), j < i, laid out like `poset.pair_relation`
-        memo entries (see `_GraphPair`): the input a step reads when it adds
-        class i."""
+        """Class i's pairs (j, i), j < i, with the `poset.PairEntry` fields a
+        step reads when it adds class i (see `_GraphPair`)."""
         return [_GraphPair(self, j, i) for j in range(i)]
 
     def edge_count(self) -> int:
@@ -94,25 +93,23 @@ class ColoredGraph:
 
 
 class _GraphPair:
-    """Pair (j, i), j < i, of a coloured graph indexed like the first three
-    items of a memo entry: [0] the relation with class-j rows, [1] the
-    intervals of class j into i, [2] those of class i into j.  Items are
-    computed on access, so a step that reads no intervals (the CSP's)
-    computes none."""
+    """Pair (j, i), j < i, of a coloured graph read like a `poset.PairEntry`:
+    `rel` has class-j rows and `col_ivals` are the intervals of class i into
+    j.  Fields are computed on access, so a step that reads no intervals
+    (the CSP's) computes none."""
 
     __slots__ = ("g", "j", "i")
 
     def __init__(self, g: ColoredGraph, j: int, i: int):
         self.g, self.j, self.i = g, j, i
 
-    def __getitem__(self, item: int):
-        if item == 0:
-            return self.g.adjacency(self.j, self.i)
-        if item == 1:
-            return self.g.intervals(self.j, self.i)
-        if item == 2:
-            return self.g.intervals(self.i, self.j)
-        raise IndexError(item)
+    @property
+    def rel(self) -> np.ndarray:
+        return self.g.adjacency(self.j, self.i)
+
+    @property
+    def col_ivals(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.g.intervals(self.i, self.j)
 
 
 def build_colored_graph(
@@ -148,8 +145,9 @@ def embed_over_compat_functions(
     only while the edge rule relates chains f[j] and a for every j < i; an
     empty relation leaves no clique and no CSP solution, so the whole
     subtree is cut.  At each leaf reached this way (one branch) the engine's
-    `step(state, i, chain size, memo entries of the pairs (j, i), counter)`
-    adds classes to the solver state of classes 0..i-1, one depth at a time
+    `step(state, i, chain size, entries, counter)`, given the
+    `poset.PairEntry` of each pair (j, i), j < i, adds class i to the
+    solver state of classes 0..i-1.  It runs one depth at a time
     from the first depth whose prefix changed since the last leaf; states
     stay on a stack, so each is computed once per prefix.  A step returns
     None when its prefix has no partial solution: the walk then cuts back
@@ -167,7 +165,7 @@ def embed_over_compat_functions(
     qleq = q.leq.tolist()
     k = q.n
     f = [0] * k
-    entries: list = [None] * k  # entries[i]: memo entries of the pairs (j, i), j < i, under f
+    entries: list = [None] * k  # entries[i]: PairEntry of each pair (j, i), j < i, under f
     states: list = [None] * k  # states[d]: solver state of classes 0..d
     solved = 0  # states[:solved] belong to the current f[:solved]
     i = 0  # f[:i] is a consistent prefix and f[i] the chain tried at depth i
@@ -175,13 +173,14 @@ def embed_over_compat_functions(
         row = []
         for j in range(i):
             entry = pair_relation(p, cp, (f[j], f[i], qleq[j][i], qleq[i][j]), c, cache)
-            if not entry[3]:
+            if not entry.nonempty:
                 break
             row.append(entry)
         if len(row) == i:
             entries[i] = row
             if i + 1 < k:
                 i += 1
+                f[i] = 0  # a new prefix tries every chain again below it
                 continue
             c.branches += 1
             while solved < k:
@@ -201,7 +200,6 @@ def embed_over_compat_functions(
         while f[i] == w:  # every chain tried at depth i: back up
             if i == 0:
                 return None
-            f[i] = 0
             i -= 1
             f[i] += 1
         solved = min(solved, i)
@@ -382,12 +380,12 @@ def clique_step(state: tuple | None, i: int, size: int, entries: list, c: OpCoun
     """Add class i to the MinK/MaxK rows of classes 0..i-1.
 
     The state is (ivals, mins, maxs), one item per class (see `_extend`);
-    `entries[j][2]` holds the intervals of class i into class j.  Class 0's
+    `entries[j].col_ivals` are the intervals of class i into class j.  Class 0's
     rows are the trivial cliques {v}.  Returns None when the MinK row of
     class i has no entry: then classes 0..i have no clique.
     """
     ivals, mins, maxs = state if state is not None else ((), (), ())
-    ivals = (*ivals, tuple((e[2][0].tolist(), e[2][1].tolist()) for e in entries))
+    ivals = (*ivals, tuple((e.col_ivals[0].tolist(), e.col_ivals[1].tolist()) for e in entries))
     if i == 0:
         if not size:
             return None

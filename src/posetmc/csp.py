@@ -52,7 +52,7 @@ def csp_step(state: tuple | None, i: int, size: int, entries: list, c: OpCounter
 
     The state is (alive, sizes, rels): per variable its surviving positions
     as a boolean mask and their count, and `rels[y][x]` the relation of the
-    pair x < y with x's positions as rows (`entries[x][0]` for y = i).  The
+    pair x < y with x's positions as rows (`entries[x].rel` for y = i).  The
     new domain starts as its whole chain; a worklist seeded by the arcs that
     touch i revises to the fixpoint, re-queueing the arcs into a domain that
     shrank.  The fixpoint is the greatest arc-consistent one whatever the
@@ -64,7 +64,7 @@ def csp_step(state: tuple | None, i: int, size: int, entries: list, c: OpCounter
     alive, sizes, rels = state if state is not None else ((), (), ())
     alive = [*alive, np.ones(size, dtype=bool)]
     sizes = [*sizes, size]
-    rels = (*rels, [e[0] for e in entries])
+    rels = (*rels, [e.rel for e in entries])
     queue = deque([(i, j) for j in range(i)] + [(j, i) for j in range(i)])
     queued = set(queue)
     while queue:

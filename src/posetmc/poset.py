@@ -14,7 +14,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -369,17 +369,24 @@ def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+class PairEntry(NamedTuple):
+    """The edge rule of one pattern pair i < j under f (see `pair_relation`)."""
+
+    rel: np.ndarray  # indexed (position on chain f[i], position on chain f[j])
+    row_ivals: tuple[np.ndarray, np.ndarray]  # neighbour intervals of the rows
+    col_ivals: tuple[np.ndarray, np.ndarray]  # neighbour intervals of the columns
+    nonempty: bool
+
+
 def pair_relation(
     p: Poset, cp: ChainPartition, key: tuple[int, int, bool, bool], c: OpCounter, cache: dict | None
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], bool]:
+) -> PairEntry:
     """The edge rule for one pattern pair i < j, keyed by its only inputs.
 
-    `key` is (f[i], f[j], i <=_Q j, j <=_Q i).  The relation, indexed
-    (position on chain f[i], position on chain f[j]), keeps the host pairs
-    (a, b) with a <=_P b iff i <=_Q j and b <=_P a iff j <=_Q i; it comes
-    with the neighbour intervals of its rows and of its columns, and with
-    whether it is nonempty.  `cache` memoizes entries by key; a hit counts
-    one op, a miss one per host pair.
+    `key` is (f[i], f[j], i <=_Q j, j <=_Q i).  The relation keeps the host
+    pairs (a, b) with a <=_P b iff i <=_Q j and b <=_P a iff j <=_Q i.
+    `cache` memoizes entries by key; a hit counts one op, a miss one per
+    host pair.
     """
     entry = cache.get(key) if cache is not None else None
     if entry is not None:
@@ -387,7 +394,7 @@ def pair_relation(
         return entry
     ci, cj = cp.chains[key[0]], cp.chains[key[1]]
     mat = (p.leq[np.ix_(ci, cj)] == key[2]) & (p.leq[np.ix_(cj, ci)].T == key[3])
-    entry = (mat, _row_intervals(mat), _row_intervals(mat.T), bool(mat.any()))
+    entry = PairEntry(mat, _row_intervals(mat), _row_intervals(mat.T), bool(mat.any()))
     c.add(len(ci) * len(cj))
     if cache is not None:
         cache[key] = entry
@@ -409,7 +416,8 @@ def compat_relations(
     for i in range(k):
         for j in range(i + 1, k):
             key = (f[i], f[j], qleq[i][j], qleq[j][i])
-            relations[(i, j)], intervals[(i, j)], intervals[(j, i)], _ = pair_relation(p, cp, key, c, cache)
+            entry = pair_relation(p, cp, key, c, cache)
+            relations[(i, j)], intervals[(i, j)], intervals[(j, i)] = entry.rel, entry.row_ivals, entry.col_ivals
     return relations, intervals
 
 

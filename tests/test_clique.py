@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import posetmc as pm
@@ -342,7 +342,7 @@ def _adversarial_hosts(draw):
 @st.composite
 def _relabelled_patterns(draw):
     """random_poset orders along the index; a relabelling orients pairs both ways."""
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
     leq = pm.random_poset(k, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**30))).leq
     perm = draw(st.permutations(range(k)))
     return pm.Poset(leq[np.ix_(perm, perm)])
@@ -350,6 +350,12 @@ def _relabelled_patterns(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_adversarial_hosts(), _relabelled_patterns())
+# a step fails at depth 2 of 4, then of 5, below which the first
+# pair-consistent leaf has f[3] = 1: after the cut every deeper depth must
+# start again at chain 0, or the first gives a later witness and the second
+# a false NO
+@example(pm.banded_poset(6, 3, band=2, offsets=[1, 2, 0]), pm.close_and_validate(4, [(0, 2), (2, 1), (0, 3)]))
+@example(pm.disjoint_union(chain(4), pm.banded_poset(7, 2, band=1)), pm.close_and_validate(5, [(1, 4), (4, 3)]))
 def test_prefix_tree_matches_product_loop(host, pattern):
     expected = pm.brute_force_embed(pattern, host) is not None
     engines = [(pm.embed_via_clique, pm.solve_multicolored_clique), (pm.embed_via_csp, pm.solve_min_closed)]
