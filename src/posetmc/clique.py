@@ -33,8 +33,25 @@ import numpy as np
 
 from .errors import NotIntervalMonotone, PosetmcError, PreconditionViolation
 from .instrument import OpCounter
-from .poset import ChainPartition, Poset, _row_intervals, compat_relations, pair_relation
+from .poset import ChainPartition, Poset, compat_relations, pair_relation
 from .poset import is_embedding, width_and_chain_partition
+
+
+def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row neighbour interval [lo, hi] in column order; empty rows get lo > hi.
+
+    Raises NotIntervalMonotone if some row's neighbours are not contiguous.
+    """
+    m, width = mat.shape
+    if m == 0 or width == 0:
+        return np.full(m, width, dtype=np.int64), np.full(m, -1, dtype=np.int64)
+    nonempty = mat.any(axis=1)
+    lo = np.where(nonempty, mat.argmax(axis=1), width).astype(np.int64)
+    hi = np.where(nonempty, width - 1 - mat[:, ::-1].argmax(axis=1), -1).astype(np.int64)
+    counts = mat.sum(axis=1)
+    if not np.array_equal(counts, np.where(nonempty, hi - lo + 1, 0)):
+        raise NotIntervalMonotone("a neighbourhood is not an interval of the class order")
+    return lo, hi
 
 
 class ColoredGraph:
@@ -120,14 +137,15 @@ def build_colored_graph(
     counter: OpCounter | None = None,
     cache: dict | None = None,
 ) -> ColoredGraph:
-    """Construct G(P, Q, f) for the given chain partition of the host.
+    """Construct G(P, Q, f) for the given chain partition of the host p.
 
-    Edges follow the shared edge rule of `poset.pair_relation`; `cache`,
-    when supplied, memoizes the per-class-pair adjacency and interval data
-    across compatibility functions of one embedding run.
+    Edges follow the shared edge rule of `poset.pair_relation`, which reads
+    only the chain index that `cp` carries; `cache`, when supplied, memoizes
+    the per-class-pair adjacency and interval data across compatibility
+    functions of one embedding run.
     """
     c = counter if counter is not None else OpCounter()
-    adjacency, intervals = compat_relations(q, p, f, cp, c, cache)
+    adjacency, intervals = compat_relations(q, f, cp, c, cache)
     return ColoredGraph([cp.arrays[f[i]] for i in range(q.n)], adjacency, intervals)
 
 
@@ -172,7 +190,7 @@ def embed_over_compat_functions(
     while True:
         row = []
         for j in range(i):
-            entry = pair_relation(p, cp, (f[j], f[i], qleq[j][i], qleq[i][j]), c, cache)
+            entry = pair_relation(cp, (f[j], f[i], qleq[j][i], qleq[i][j]), c, cache)
             if not entry.nonempty:
                 break
             row.append(entry)

@@ -200,7 +200,7 @@ def parse_graph_text(text: str) -> SimpleGraph:
         if kind == "graph":
             continue
         if kind == "vertices":
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise FormatError(f"line {lineno}: expected 'vertices <n>'")
             n = int(fields[1])
         elif kind == "edge":

@@ -6,8 +6,8 @@ chain-partition, constraint or interval machinery with the optimized
 solvers, so agreement tests between the two sides are meaningful.
 
 Work caps are configuration: every oracle takes explicit cap arguments, and
-the environment variable POSETMC_ORACLE_CAP, when set to an integer, replaces
-all defaults at once.
+the environment variable POSETMC_ORACLE_CAP, when set, replaces all defaults
+at once; a value that is not an integer is a PreconditionViolation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 from itertools import product
 
 from .clique import ColoredGraph
-from .errors import CapExceeded
+from .errors import CapExceeded, PreconditionViolation
 from .instrument import OpCounter
 from .logic import Sentence, eval_matrix
 from .poset import Poset
@@ -34,9 +34,12 @@ def _cap(explicit: int | None, default: int) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(_ENV_CAP)
-    if env is not None:
+    if env is None:
+        return default
+    try:
         return int(env)
-    return default
+    except ValueError:
+        raise PreconditionViolation(f"{_ENV_CAP} must be an integer, got {env!r}") from None
 
 
 def brute_force_embed(

@@ -4,7 +4,9 @@ turns a compatibility function into the relations both embedding engines solve.
 Elements are dense 0-based indices.  The order relation is stored as a dense
 n-by-n boolean matrix `leq` with leq[a, b] == True iff a <= b.  Posets are
 immutable after construction and safe to share between threads; the chain
-partition memoized on a poset is a pure function of `leq`.
+partition memoized on a poset, and the chain index it carries (per element
+and chain, the positions of the least element above and the greatest element
+below), are pure functions of `leq`.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AntisymmetryViolation, FormatError, IndexOutOfRange, NotIntervalMonotone
+from .errors import AntisymmetryViolation, FormatError, IndexOutOfRange
 from .errors import PosetmcError, PreconditionViolation
 from .instrument import OpCounter
 
@@ -80,22 +82,36 @@ class ChainPartition:
     """A partition of a poset into width-many chains plus an antichain certificate.
 
     Chains are sorted by their minimum element index; each chain lists its
-    elements in ascending order.  `antichain` has exactly one element per
-    chain and is pairwise incomparable.  `arrays` holds the chains again as
-    read-only int64 arrays, made once for every coloured graph built over
-    the partition.
+    elements in ascending order, which construction checks against `leq`.
+    `arrays` holds the chains again as read-only int64 arrays.  The chain
+    index is two read-only w-by-n int64 arrays: `above[b][x]` is the position
+    on chain b of the least element >= x (len(chain b) if there is none), and
+    `below[b][x]` the position of the greatest element <= x (-1 if none).
+    So x <= chains[b][t] iff t >= above[b][x], and chains[b][t] <= x iff
+    t <= below[b][x].
     """
 
     chains: tuple[tuple[int, ...], ...]
     chain_of: tuple[int, ...]
     antichain: tuple[int, ...]
+    leq: InitVar[np.ndarray]
     arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    above: np.ndarray = field(init=False, repr=False, compare=False)
+    below: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, leq: np.ndarray) -> None:
         arrays = tuple(np.array(chain, dtype=np.int64) for chain in self.chains)
         for arr in arrays:
+            if not leq[arr[:-1], arr[1:]].all():
+                raise PosetmcError(f"internal error: chain {arr.tolist()} does not ascend")
+        # an ascending chain meets the up-set of x in a suffix and its down-set in a prefix
+        above = np.array([len(arr) - leq[:, arr].sum(axis=1) for arr in arrays], dtype=np.int64)
+        below = np.array([leq[arr, :].sum(axis=0) - 1 for arr in arrays], dtype=np.int64)
+        for arr in (*arrays, above, below):
             arr.flags.writeable = False
         object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "above", above)
+        object.__setattr__(self, "below", below)
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,8 +319,9 @@ def width_and_chain_partition(p: Poset) -> tuple[int, ChainPartition]:
     """Width w of the poset together with a partition into exactly w chains.
 
     The returned partition also carries a size-w antichain certificate, which
-    is re-verified (pairwise incomparability) before returning.  The result
-    is computed once per poset and memoized on it.
+    is re-verified (pairwise incomparability) before returning, and the chain
+    index (see `ChainPartition`).  The result is computed once per poset and
+    memoized on it.
     """
     if p._chains is not None:
         return p._chains
@@ -341,7 +358,7 @@ def width_and_chain_partition(p: Poset) -> tuple[int, ChainPartition]:
         for b in anti[i + 1 :]:
             if relate(p, a, b) is not Relation.Incomparable:
                 raise PosetmcError(f"internal error: certificate elements {a} and {b} are comparable")
-    p._chains = (w, ChainPartition(tuple(chains), tuple(chain_of), tuple(sorted(anti))))
+    p._chains = (w, ChainPartition(tuple(chains), tuple(chain_of), tuple(sorted(anti)), p.leq))
     return p._chains
 
 
@@ -350,23 +367,20 @@ def width_and_chain_partition(p: Poset) -> tuple[int, ChainPartition]:
 # A compatibility function f maps each pattern element to a host chain.  The
 # edge rule below turns f into the relations of one coloured graph, which the
 # clique and CSP engines both solve (see `clique.embed_over_compat_functions`).
+# Against chain b, element x is below exactly the positions >= above[b][x]
+# and above exactly those <= below[b][x], so every row of a relation is an
+# interval read off the chain index by array arithmetic.
 
 
-def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row neighbour interval [lo, hi] in column order; empty rows get lo > hi.
-
-    Raises NotIntervalMonotone if some row's neighbours are not contiguous.
-    """
-    m, width = mat.shape
-    if m == 0 or width == 0:
-        return np.full(m, width, dtype=np.int64), np.full(m, -1, dtype=np.int64)
-    nonempty = mat.any(axis=1)
-    lo = np.where(nonempty, mat.argmax(axis=1), width).astype(np.int64)
-    hi = np.where(nonempty, width - 1 - mat[:, ::-1].argmax(axis=1), -1).astype(np.int64)
-    counts = mat.sum(axis=1)
-    if not np.array_equal(counts, np.where(nonempty, hi - lo + 1, 0)):
-        raise NotIntervalMonotone("a neighbourhood is not an interval of the class order")
-    return lo, hi
+def _rank_intervals(
+    up: np.ndarray, down: np.ndarray, le: bool, ge: bool, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row interval [lo, hi] of the positions t < width with
+    (t >= up) == le and (t <= down) == ge; empty rows get (width, -1)."""
+    lo = np.maximum(up if le else 0, 0 if ge else down + 1)
+    hi = np.minimum(width - 1 if le else up - 1, down if ge else width - 1)
+    empty = lo > hi
+    return np.where(empty, width, lo), np.where(empty, -1, hi)
 
 
 class PairEntry(NamedTuple):
@@ -379,22 +393,29 @@ class PairEntry(NamedTuple):
 
 
 def pair_relation(
-    p: Poset, cp: ChainPartition, key: tuple[int, int, bool, bool], c: OpCounter, cache: dict | None
+    cp: ChainPartition, key: tuple[int, int, bool, bool], c: OpCounter, cache: dict | None
 ) -> PairEntry:
     """The edge rule for one pattern pair i < j, keyed by its only inputs.
 
-    `key` is (f[i], f[j], i <=_Q j, j <=_Q i).  The relation keeps the host
-    pairs (a, b) with a <=_P b iff i <=_Q j and b <=_P a iff j <=_Q i.
-    `cache` memoizes entries by key; a hit counts one op, a miss one per
-    host pair.
+    `key` is (a, b, i <=_Q j, j <=_Q i) with a = f[i] and b = f[j].  The
+    relation keeps the host pairs (x, y), x on chain a and y on chain b, with
+    x <=_P y iff i <=_Q j and y <=_P x iff j <=_Q i.  Row intervals come
+    from the chain index of the rows' elements against chain b, column
+    intervals from that of the columns' elements against chain a with the two
+    comparisons swapped.  `cache` memoizes entries by key; a hit counts one
+    op, a miss one per host pair.
     """
     entry = cache.get(key) if cache is not None else None
     if entry is not None:
         c.add(1)
         return entry
-    ci, cj = cp.chains[key[0]], cp.chains[key[1]]
-    mat = (p.leq[np.ix_(ci, cj)] == key[2]) & (p.leq[np.ix_(cj, ci)].T == key[3])
-    entry = PairEntry(mat, _row_intervals(mat), _row_intervals(mat.T), bool(mat.any()))
+    a, b, le, ge = key
+    ci, cj = cp.arrays[a], cp.arrays[b]
+    rows = _rank_intervals(cp.above[b][ci], cp.below[b][ci], le, ge, len(cj))
+    cols = _rank_intervals(cp.above[a][cj], cp.below[a][cj], ge, le, len(ci))
+    t = np.arange(len(cj))
+    rel = (rows[0][:, None] <= t) & (t <= rows[1][:, None])
+    entry = PairEntry(rel, rows, cols, bool(rel.any()))
     c.add(len(ci) * len(cj))
     if cache is not None:
         cache[key] = entry
@@ -402,7 +423,7 @@ def pair_relation(
 
 
 def compat_relations(
-    q: Poset, p: Poset, f: Sequence[int], cp: ChainPartition, c: OpCounter, cache: dict | None
+    q: Poset, f: Sequence[int], cp: ChainPartition, c: OpCounter, cache: dict | None
 ) -> tuple[dict[tuple[int, int], np.ndarray], dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]]:
     """The edge rule (`pair_relation`) for every pattern pair i < j under f.
 
@@ -416,7 +437,7 @@ def compat_relations(
     for i in range(k):
         for j in range(i + 1, k):
             key = (f[i], f[j], qleq[i][j], qleq[j][i])
-            entry = pair_relation(p, cp, key, c, cache)
+            entry = pair_relation(cp, key, c, cache)
             relations[(i, j)], intervals[(i, j)], intervals[(j, i)] = entry.rel, entry.row_ivals, entry.col_ivals
     return relations, intervals
 
@@ -455,7 +476,7 @@ def parse_poset_text(text: str) -> Poset:
         elif kind == "elements":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate 'elements' line")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise FormatError(f"line {lineno}: expected 'elements <n>'")
             n = int(fields[1])
             # the closure holds about 13 bytes per matrix cell: the bool relation,

@@ -118,6 +118,26 @@ def test_non_utf8_graph_is_error(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_superscript_element_count_is_error(tmp_path, capsys):
+    # "²" passes str.isdigit() but not int()
+    path = _write(tmp_path, "p.poset", "poset p\nelements \u00b2\n")
+    assert main(["width", "--poset", path]) == 2
+    assert "expected 'elements <n>'" in capsys.readouterr().err
+
+
+def test_superscript_vertex_count_is_error(tmp_path, capsys):
+    path = _write(tmp_path, "g.graph", "graph g\nvertices \u00b2\n")
+    assert main(["gen", "poset-of-graph", path]) == 2
+    assert "expected 'vertices <n>'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3"])
+def test_bad_oracle_cap_is_error(tmp_path, chain2, value, monkeypatch, capsys):
+    monkeypatch.setenv("POSETMC_ORACLE_CAP", value)
+    assert main(["embed", "--solver", "brute", "--pattern", chain2, "--host", chain2]) == 2
+    assert "POSETMC_ORACLE_CAP" in capsys.readouterr().err
+
+
 def test_non_utf8_formula_is_error(tmp_path, chain2, capsys):
     path = _write_bytes(tmp_path, "phi.txt", b"\xff\xfe" + PHI.encode("utf-16-le"))
     assert main(["check", "--formula", path, "--poset", chain2]) == 2

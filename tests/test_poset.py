@@ -116,6 +116,90 @@ def test_chain_partition_soundness_and_certificate(rng):
         _assert_partition_sound(p, w, cp)
 
 
+@st.composite
+def index_hosts(draw):
+    """Hosts of at most 16 elements from the generator families the engines meet."""
+    kind = draw(st.sampled_from(["random", "banded", "graph", "stack", "union"]))
+
+    def random_host(max_n):
+        n = draw(st.integers(1, max_n))
+        return pm.random_poset(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**30)))
+
+    if kind == "random":
+        return random_host(16)
+    if kind == "banded":
+        w = draw(st.integers(1, 4))
+        n = draw(st.integers(w, 16))
+        offsets = draw(st.lists(st.integers(0, 2), min_size=w, max_size=w))
+        return pm.banded_poset(n, w, draw(st.integers(1, 3)), offsets)
+    if kind == "graph":
+        n = draw(st.integers(1, 5))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        return pm.poset_of_graph(pm.SimpleGraph.from_edges(n, draw(st.lists(pairs, max_size=8))))
+    if kind == "stack":
+        return pm.stack_posets([random_host(5) for _ in range(draw(st.integers(1, 3)))])
+    return pm.disjoint_union(random_host(8), random_host(8))
+
+
+def _matrix_intervals(mat):
+    """Per-row [first, last] neighbour, contiguity asserted; empty rows (width, -1)."""
+    lo, hi = [], []
+    for row in mat:
+        hits = np.flatnonzero(row)
+        assert len(hits) == 0 or hits[-1] - hits[0] + 1 == len(hits)
+        lo.append(hits[0] if len(hits) else mat.shape[1])
+        hi.append(hits[-1] if len(hits) else -1)
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+def _slice_rule(p, cp, key):
+    """The edge rule read straight off `leq` slices, intervals off the matrix."""
+    ci, cj = cp.chains[key[0]], cp.chains[key[1]]
+    mat = (p.leq[np.ix_(ci, cj)] == key[2]) & (p.leq[np.ix_(cj, ci)].T == key[3])
+    return mat, _matrix_intervals(mat), _matrix_intervals(mat.T), bool(mat.any())
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_hosts())
+def test_pair_relation_matches_slice_rule(p):
+    w, cp = pm.width_and_chain_partition(p)
+    cache = {}
+    for a in range(w):
+        for b in range(w):
+            for le in (False, True):
+                for ge in (False, True):
+                    key = (a, b, le, ge)
+                    c = pm.OpCounter()
+                    entry = pm.poset.pair_relation(cp, key, c, cache)
+                    assert c.ops == len(cp.chains[a]) * len(cp.chains[b])
+                    rel, rows, cols, nonempty = _slice_rule(p, cp, key)
+                    assert entry.rel.dtype == bool and np.array_equal(entry.rel, rel)
+                    for got, want in zip((*entry.row_ivals, *entry.col_ivals), (*rows, *cols)):
+                        assert got.dtype == np.int64 and np.array_equal(got, want)
+                    assert entry.nonempty is nonempty
+                    c = pm.OpCounter()
+                    assert pm.poset.pair_relation(cp, key, c, cache) is entry and c.ops == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_hosts())
+def test_chain_index_matches_definition(p):
+    w, cp = pm.width_and_chain_partition(p)
+    assert cp.above.shape == cp.below.shape == (w, p.n)
+    assert not cp.above.flags.writeable and not cp.below.flags.writeable
+    for b, chain_b in enumerate(cp.chains):
+        for x in range(p.n):
+            up = [t for t, y in enumerate(chain_b) if p.leq[x, y]]
+            down = [t for t, y in enumerate(chain_b) if p.leq[y, x]]
+            assert cp.above[b][x] == (up[0] if up else len(chain_b))
+            assert cp.below[b][x] == (down[-1] if down else -1)
+
+
+def test_chain_index_rejects_unsorted_chain():
+    with pytest.raises(pm.PosetmcError, match="does not ascend"):
+        pm.ChainPartition(((1, 0),), (0, 0), (0,), chain(2).leq)
+
+
 def test_disjoint_union_examples():
     two = pm.disjoint_union(chain(1), chain(1))
     assert pm.relate(two, 0, 1) is pm.Relation.Incomparable
