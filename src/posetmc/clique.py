@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NotIntervalMonotone, PosetmcError, PreconditionViolation
 from .instrument import OpCounter
-from .poset import ChainPartition, Poset, compat_relations, pair_relation
+from .poset import ChainPartition, Poset, pair_relation
 from .poset import is_embedding, width_and_chain_partition
 
 
@@ -60,16 +60,10 @@ class ColoredGraph:
     `elements[i]` records the host element underlying each vertex of class i;
     vertices are referred to by their position in their class, which is also
     the class order.  Adjacency between classes i < j is a boolean matrix
-    indexed (position in i, position in j).  `intervals`, when supplied,
-    holds precomputed neighbour intervals keyed like those of `intervals()`.
+    indexed (position in i, position in j).
     """
 
-    def __init__(
-        self,
-        elements: Sequence[Sequence[int]],
-        adjacency: Mapping[tuple[int, int], np.ndarray],
-        intervals: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None = None,
-    ):
+    def __init__(self, elements: Sequence[Sequence[int]], adjacency: Mapping[tuple[int, int], np.ndarray]):
         self.k = len(elements)
         self.elements = [np.asarray(cls, dtype=np.int64) for cls in elements]
         sizes = [len(cls) for cls in self.elements]
@@ -82,7 +76,7 @@ class ColoredGraph:
             if mat.shape != (sizes[i], sizes[j]):
                 raise PreconditionViolation(f"adjacency {(i, j)} has shape {mat.shape}")
             self._adj[i, j] = mat
-        self._ivals: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = dict(intervals or {})
+        self._ivals: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def class_size(self, i: int) -> int:
         return len(self.elements[i])
@@ -139,14 +133,18 @@ def build_colored_graph(
 ) -> ColoredGraph:
     """Construct G(P, Q, f) for the given chain partition of the host p.
 
-    Edges follow the shared edge rule of `poset.pair_relation`, which reads
-    only the chain index that `cp` carries; `cache`, when supplied, memoizes
-    the per-class-pair adjacency and interval data across compatibility
-    functions of one embedding run.
+    Edges follow the shared edge rule of `poset.pair_relation`, called for
+    each pattern pair i < j in order, which reads only the chain index that
+    `cp` carries; `cache`, when supplied, memoizes the per-class-pair
+    relations across compatibility functions of one embedding run.
     """
     c = counter if counter is not None else OpCounter()
-    adjacency, intervals = compat_relations(q, f, cp, c, cache)
-    return ColoredGraph([cp.arrays[f[i]] for i in range(q.n)], adjacency, intervals)
+    qleq = q.leq.tolist()
+    adjacency = {
+        (i, j): pair_relation(cp, (f[i], f[j], qleq[i][j], qleq[j][i]), c, cache).rel
+        for i, j in combinations(range(q.n), 2)
+    }
+    return ColoredGraph([cp.arrays[f[i]] for i in range(q.n)], adjacency)
 
 
 Step = Callable[[Any, int, int, list, OpCounter], Any]
@@ -283,39 +281,27 @@ def _clique_extreme(
     cliques: Sequence[Mapping[int, int]],
     classes: Iterable[int],
     g: ColoredGraph,
-    check: bool,
     pick: Callable[..., int],
 ) -> dict[int, int]:
     classes = sorted(classes)
     if not cliques:
         raise PreconditionViolation("need at least one clique")
-    if check:
-        for kq in cliques:
-            _require_clique(g, kq, classes)
+    for kq in cliques:
+        _require_clique(g, kq, classes)
     return {i: pick(kq[i] for kq in cliques) for i in classes}
 
 
-def clique_min(
-    cliques: Sequence[Mapping[int, int]],
-    classes: Iterable[int],
-    g: ColoredGraph,
-    check: bool = True,
-) -> dict[int, int]:
+def clique_min(cliques: Sequence[Mapping[int, int]], classes: Iterable[int], g: ColoredGraph) -> dict[int, int]:
     """Coordinatewise class-order minimum of cliques over the same classes.
 
     For interval-monotone graphs the result is again a clique.
     """
-    return _clique_extreme(cliques, classes, g, check, min)
+    return _clique_extreme(cliques, classes, g, min)
 
 
-def clique_max(
-    cliques: Sequence[Mapping[int, int]],
-    classes: Iterable[int],
-    g: ColoredGraph,
-    check: bool = True,
-) -> dict[int, int]:
+def clique_max(cliques: Sequence[Mapping[int, int]], classes: Iterable[int], g: ColoredGraph) -> dict[int, int]:
     """Coordinatewise maximum; dual of clique_min."""
-    return _clique_extreme(cliques, classes, g, check, max)
+    return _clique_extreme(cliques, classes, g, max)
 
 
 class CliqueTable:

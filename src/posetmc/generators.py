@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError, IndexOutOfRange, PreconditionViolation
-from .poset import Poset, _bool_matmul, disjoint_union
+from .poset import Poset, _bool_matmul, _check_dense_fits, close_and_validate, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def or_compose(instances: Sequence[tuple[Poset, int]]) -> tuple[Poset, int]:
 
 
 def random_poset(n: int, density: float, seed: int) -> Poset:
-    """Transitive closure of index-respecting random arcs; always a valid poset.
+    """Closure (`close_and_validate`) of index-respecting random arcs; always a valid poset.
 
     Each pair (i, j) with i < j becomes an arc with the given probability;
     arcs point from lower to higher index, so the sampled digraph is acyclic
@@ -135,16 +135,8 @@ def random_poset(n: int, density: float, seed: int) -> Poset:
     if not 0.0 <= density <= 1.0:
         raise PreconditionViolation(f"density {density} outside [0, 1]")
     rng = random.Random(seed)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                succ[i].append(j)
-    leq = np.eye(n, dtype=bool)
-    for i in range(n - 1, -1, -1):
-        for j in succ[i]:
-            leq[i] |= leq[j]
-    return Poset(leq, validate=False)
+    arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    return close_and_validate(n, arcs)
 
 
 def banded_poset(n: int, w: int, band: int = 1, offsets: Sequence[int] | None = None) -> Poset:
@@ -203,6 +195,7 @@ def parse_graph_text(text: str) -> SimpleGraph:
             if len(fields) != 2 or not fields[1].isdecimal():
                 raise FormatError(f"line {lineno}: expected 'vertices <n>'")
             n = int(fields[1])
+            _check_dense_fits(3 * n, lineno, f"{n} vertices")  # `poset_of_graph` takes 3 elements per vertex
         elif kind == "edge":
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'edge <u> <v>'")

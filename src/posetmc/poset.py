@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import deque
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -125,59 +124,62 @@ def _check_index(i: int, n: int) -> None:
 
 
 def close_and_validate(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
-    """Reflexive-transitive closure of the given pairs, validated as a poset.
+    """Reflexive-transitive closure of the given arcs, validated as a poset.
 
-    Raises IndexOutOfRange for indices outside [0, n) and
-    AntisymmetryViolation (naming a witness cycle) when the closure relates
-    two distinct elements both ways.
+    Self-arcs and duplicate arcs are dropped.  Kahn's algorithm orders the
+    elements along the arcs; in reverse order, each element's up-set is a
+    Python-int bitset, itself plus the union of its successors' up-sets, and
+    the bitsets unpack into the rows of `leq`.  Raises IndexOutOfRange for
+    indices outside [0, n) and AntisymmetryViolation, naming a cycle of input
+    arcs written in <= order, when the arcs leave some elements unordered.
     """
-    pairs = list(pairs)
+    succ: list[set[int]] = [set() for _ in range(n)]
     for u, v in pairs:
         _check_index(u, n)
         _check_index(v, n)
-    leq = np.eye(n, dtype=bool)
-    for u, v in pairs:
-        leq[u, v] = True
-    # closure by repeated squaring
-    while True:
-        nxt = leq | _bool_matmul(leq, leq)
-        if np.array_equal(nxt, leq):
-            break
-        leq = nxt
-    bad = leq & leq.T
-    np.fill_diagonal(bad, False)
-    if bad.any():
-        a, b = map(int, np.argwhere(bad)[0])
-        raise AntisymmetryViolation(_witness_cycle(n, pairs, a, b))
-    return Poset(leq, validate=False)
+        if u != v:
+            succ[u].add(v)
+    indegree = [0] * n
+    for out in succ:
+        for v in out:
+            indegree[v] += 1
+    order = [x for x in range(n) if not indegree[x]]
+    for x in order:  # grows while it is read
+        for v in succ[x]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                order.append(v)
+    if len(order) < n:
+        raise AntisymmetryViolation(_cycle_among(succ, set(range(n)).difference(order)))
+    up = [0] * n
+    for x in reversed(order):
+        bits = 1 << x
+        for v in succ[x]:
+            bits |= up[v]
+        up[x] = bits
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in up), dtype=np.uint8)
+    rows = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    return Poset(rows.view(bool), validate=False)
 
 
-def _witness_cycle(n: int, pairs: list[tuple[int, int]], a: int, b: int) -> list[int]:
-    """Reconstruct an explicit a <= .. <= b <= .. <= a cycle over input arcs."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        succ[u].append(v)
+def _cycle_among(succ: list[set[int]], left: set[int]) -> list[int]:
+    """A cycle of arcs through the elements Kahn's algorithm left unordered.
 
-    def path(src: int, dst: int) -> list[int]:
-        prev = {src: -1}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if x == dst:
-                out = [x]
-                while prev[x] != -1:
-                    x = prev[x]
-                    out.append(x)
-                return out[::-1]
-            for y in succ[x]:
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        raise PosetmcError("internal error: cycle endpoints must be connected")
-
-    forward = path(a, b)
-    back = path(b, a)
-    return forward + back[1:]
+    Each of them keeps a predecessor among them, so walking back from one
+    repeats an element; the walk between the repeats, reversed, is the cycle.
+    """
+    pred: dict[int, int] = {}
+    for u in left:
+        for v in succ[u]:
+            if v in left:
+                pred.setdefault(v, u)
+    walk = [min(left)]
+    seen = {walk[0]: 0}
+    while (x := pred[walk[-1]]) not in seen:
+        seen[x] = len(walk)
+        walk.append(x)
+    return [x, *reversed(walk[seen[x]:])]
 
 
 def relate(p: Poset, a: int, b: int) -> Relation:
@@ -387,7 +389,6 @@ class PairEntry(NamedTuple):
     """The edge rule of one pattern pair i < j under f (see `pair_relation`)."""
 
     rel: np.ndarray  # indexed (position on chain f[i], position on chain f[j])
-    row_ivals: tuple[np.ndarray, np.ndarray]  # neighbour intervals of the rows
     col_ivals: tuple[np.ndarray, np.ndarray]  # neighbour intervals of the columns
     nonempty: bool
 
@@ -399,11 +400,11 @@ def pair_relation(
 
     `key` is (a, b, i <=_Q j, j <=_Q i) with a = f[i] and b = f[j].  The
     relation keeps the host pairs (x, y), x on chain a and y on chain b, with
-    x <=_P y iff i <=_Q j and y <=_P x iff j <=_Q i.  Row intervals come
-    from the chain index of the rows' elements against chain b, column
-    intervals from that of the columns' elements against chain a with the two
-    comparisons swapped.  `cache` memoizes entries by key; a hit counts one
-    op, a miss one per host pair.
+    x <=_P y iff i <=_Q j and y <=_P x iff j <=_Q i.  Its rows are intervals
+    read off the chain index of the rows' elements against chain b; the
+    column intervals kept in the entry come from that of the columns'
+    elements against chain a with the two comparisons swapped.  `cache`
+    memoizes entries by key; a hit counts one op, a miss one per host pair.
     """
     entry = cache.get(key) if cache is not None else None
     if entry is not None:
@@ -415,31 +416,11 @@ def pair_relation(
     cols = _rank_intervals(cp.above[a][cj], cp.below[a][cj], ge, le, len(ci))
     t = np.arange(len(cj))
     rel = (rows[0][:, None] <= t) & (t <= rows[1][:, None])
-    entry = PairEntry(rel, rows, cols, bool(rel.any()))
+    entry = PairEntry(rel, cols, bool(rel.any()))
     c.add(len(ci) * len(cj))
     if cache is not None:
         cache[key] = entry
     return entry
-
-
-def compat_relations(
-    q: Poset, f: Sequence[int], cp: ChainPartition, c: OpCounter, cache: dict | None
-) -> tuple[dict[tuple[int, int], np.ndarray], dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]]:
-    """The edge rule (`pair_relation`) for every pattern pair i < j under f.
-
-    `relations[(i, j)]` is the pair's relation; `intervals[(i, j)]` and
-    `intervals[(j, i)]` are the neighbour intervals of its rows and columns.
-    """
-    relations: dict[tuple[int, int], np.ndarray] = {}
-    intervals: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    qleq = q.leq.tolist()
-    k = q.n
-    for i in range(k):
-        for j in range(i + 1, k):
-            key = (f[i], f[j], qleq[i][j], qleq[j][i])
-            entry = pair_relation(cp, key, c, cache)
-            relations[(i, j)], intervals[(i, j)], intervals[(j, i)] = entry.rel, entry.row_ivals, entry.col_ivals
-    return relations, intervals
 
 
 # -- poset text format ---------------------------------------------------------
@@ -457,6 +438,15 @@ def _physical_memory() -> int:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return sys.maxsize
+
+
+def _check_dense_fits(n: int, lineno: int, what: str) -> None:
+    """FormatError, before anything is allocated, unless a poset of n
+    elements read on line `lineno` can be held and written back as text."""
+    # writing back (`cover_pairs`) holds about 13 bytes per matrix cell: the bool
+    # relation, its float32 copies and their product; the closure needs about 2.3
+    if 13 * n * n > _physical_memory():
+        raise FormatError(f"line {lineno}: {what} do not fit a dense relation matrix")
 
 
 def parse_poset_text(text: str) -> Poset:
@@ -479,10 +469,7 @@ def parse_poset_text(text: str) -> Poset:
             if len(fields) != 2 or not fields[1].isdecimal():
                 raise FormatError(f"line {lineno}: expected 'elements <n>'")
             n = int(fields[1])
-            # the closure holds about 13 bytes per matrix cell: the bool relation,
-            # its float32 copies and their float32 product
-            if 13 * n * n > _physical_memory():
-                raise FormatError(f"line {lineno}: {n} elements do not fit a dense relation matrix")
+            _check_dense_fits(n, lineno, f"{n} elements")
         elif kind in ("cover", "leq"):
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected '{kind} <u> <v>'")

@@ -97,6 +97,12 @@ def test_embed_oversized_poset_is_error(tmp_path, capsys):
     assert "10000000000 elements" in capsys.readouterr().err
 
 
+def test_gen_oversized_graph_is_error(tmp_path, capsys):
+    huge = _write(tmp_path, "huge.graph", "graph huge\nvertices 10000000000\n")
+    assert main(["gen", "poset-of-graph", huge]) == 2
+    assert "10000000000 vertices" in capsys.readouterr().err
+
+
 def _write_bytes(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)

@@ -172,6 +172,12 @@ def test_graph_text_roundtrip(rng):
         pm.parse_graph_text("graph t\nvertices 2\nedge 1 1\n")
 
 
+def test_graph_text_vertices_over_memory_is_error():
+    # 3e10 poset elements, about 1e22 bytes; rejected before anything is allocated
+    with pytest.raises(pm.FormatError, match="10000000000 vertices"):
+        pm.parse_graph_text("graph t\nvertices 10000000000\n")
+
+
 def test_simple_graph_bad_edges_are_typed_errors():
     with pytest.raises(pm.PreconditionViolation):
         pm.SimpleGraph(2, frozenset({(1, 1)}))

@@ -172,9 +172,9 @@ def test_pair_relation_matches_slice_rule(p):
                     c = pm.OpCounter()
                     entry = pm.poset.pair_relation(cp, key, c, cache)
                     assert c.ops == len(cp.chains[a]) * len(cp.chains[b])
-                    rel, rows, cols, nonempty = _slice_rule(p, cp, key)
+                    rel, _, cols, nonempty = _slice_rule(p, cp, key)
                     assert entry.rel.dtype == bool and np.array_equal(entry.rel, rel)
-                    for got, want in zip((*entry.row_ivals, *entry.col_ivals), (*rows, *cols)):
+                    for got, want in zip(entry.col_ivals, cols):
                         assert got.dtype == np.int64 and np.array_equal(got, want)
                     assert entry.nonempty is nonempty
                     c = pm.OpCounter()
@@ -274,6 +274,65 @@ def test_width_duality_hypothesis(case):
     w, cp = pm.width_and_chain_partition(p)
     assert w == pm.brute_force_width(p)
     _assert_partition_sound(p, w, cp)
+
+
+def _squaring_closure(n, arcs):
+    """Reference closure by repeated boolean squaring; None when antisymmetry fails."""
+    leq = np.eye(n, dtype=bool)
+    for u, v in arcs:
+        leq[u, v] = True
+    while True:
+        nxt = leq | (leq.astype(np.int64) @ leq.astype(np.int64) > 0)
+        if np.array_equal(nxt, leq):
+            break
+        leq = nxt
+    both = leq & leq.T
+    np.fill_diagonal(both, False)
+    return None if both.any() else leq
+
+
+@st.composite
+def any_arcs(draw):
+    """Arcs in any orientation, with self-arcs, duplicates and cycles."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arcs = draw(st.lists(arc, max_size=3 * n))
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=4)) if arcs else []
+    return n, arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_arcs())
+def test_closure_matches_squaring_reference(case):
+    n, arcs = case
+    want = _squaring_closure(n, arcs)
+    if want is None:
+        with pytest.raises(pm.AntisymmetryViolation) as exc:
+            pm.close_and_validate(n, arcs)
+        cycle = exc.value.cycle
+        assert cycle[0] == cycle[-1] and len(set(cycle)) >= 2
+        assert all(pair in arcs for pair in zip(cycle, cycle[1:]))
+    else:
+        p = pm.close_and_validate(n, arcs)
+        assert p.leq.dtype == bool and p.leq.shape == (n, n)
+        assert p.leq.flags.c_contiguous and not p.leq.flags.writeable
+        assert p.leq.tobytes() == want.tobytes()
+
+
+def test_random_poset_is_the_closure_of_its_draws(rng):
+    for _ in range(40):
+        n, density, seed = rng.randint(0, 14), rng.uniform(0, 1), rng.randrange(2**30)
+        draws = random.Random(seed)
+        arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if draws.random() < density]
+        leq = pm.random_poset(n, density, seed).leq
+        assert leq.flags.c_contiguous and leq.tobytes() == _squaring_closure(n, arcs).tobytes()
+
+
+def test_large_banded_host_survives_text_roundtrip():
+    host = pm.banded_poset(1600, 3, band=1)
+    assert pm.parse_poset_text(pm.format_poset_text(host)) == host
 
 
 def test_poset_text_roundtrip(rng):
