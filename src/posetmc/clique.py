@@ -17,11 +17,12 @@ coordinatewise-minimum and -maximum cliques over each prefix of classes.
 The same graph is the instance of the CSP engine (`csp.py`): classes are its
 domains and the adjacency matrices its relations.  Each engine is one step
 that adds class i to the solver state of classes 0..i-1 (`clique_step`, the
-MinK/MaxK rows of class i; `csp.csp_step`, arc-consistent domains).  The
-whole-graph solvers fold that step over a `ColoredGraph`;
-`embed_over_compat_functions` walks the compatibility functions as a prefix
-tree and keeps one state per depth, so each row or domain is computed once
-per prefix, and a prefix with no partial solution cuts its subtree.
+MinK/MaxK rows of class i, each one loop over the class's vertices in
+`_row`; `csp.csp_step`, arc-consistent domains).  The whole-graph solvers
+fold that step over a `ColoredGraph`; `embed_over_compat_functions` walks
+the compatibility functions as a prefix tree and keeps one state per depth,
+so each row or domain is computed once per prefix, and a prefix with no
+partial solution cuts its subtree.
 """
 
 from __future__ import annotations
@@ -321,85 +322,81 @@ class CliqueTable:
         return self._max[i][v]
 
 
-def _extend(
-    ivals: tuple, ci: int, v: int, mins: tuple, maxs: tuple, want_min: bool, c: OpCounter
-) -> tuple[int, ...] | None:
-    """One table entry: grow X = {v} downward through classes ci-1 .. 0.
+def _row(ivals: tuple, i: int, size: int, opposite: tuple, want_min: bool, c: OpCounter) -> list:
+    """The MinK (`want_min`) or MaxK row of class i: one entry per vertex v.
 
     `ivals[i][l]` holds the neighbour intervals (lo, hi) of class i into
-    class l < i; `mins[j]` / `maxs[j]` are the MinK / MaxK rows of class j.
-    At class j the candidate set N_j(X) is the running interval intersection;
-    candidates are scanned from the extreme end, and a candidate x is accepted
-    when its own extreme table entry of the opposite kind lies inside the
-    running up-set (resp. down-set) thresholds of X.
+    class l < i, and `opposite[j]` is the MaxK (resp. MinK) row of class j.
+    Each entry grows X = {v} downward through classes i-1 .. 0.  At class j
+    the candidate set N_j(X) is the running interval intersection; candidates
+    are scanned from its least (resp. greatest) end, and a candidate x is
+    accepted when its opposite-kind entry lies inside the running up-set
+    (resp. down-set) thresholds of X.  A class with no accepted candidate
+    (an empty interval has none) leaves v no clique: None.  `c` gets, per
+    vertex, i, then per class j 1 + j per candidate scanned and j per
+    interval update, added once per row.
     """
-    own = ivals[ci]
-    los = [own[l][0][v] for l in range(ci)]
-    his = [own[l][1][v] for l in range(ci)]
-    ops = ci
-    result = [-1] * (ci + 1)
-    result[ci] = v
-    for j in range(ci - 1, -1, -1):
-        low, high = los[j], his[j]
-        found = -1
-        if want_min:
-            x = low
-            while x <= high:
-                ops += 1 + j
-                if j == 0:
-                    found = x
-                    break
-                entry = maxs[j][x]
-                if entry is not None and all(entry[l] >= los[l] for l in range(j)):
-                    found = x
-                    break
-                x += 1
+    own = ivals[i]
+    # per vertex, the intervals (lo, hi) into classes 0..i-1 start the running ones
+    starts = zip(zip(*[lo for lo, _ in own]), zip(*[hi for _, hi in own])) if i else [((), ())] * size
+    row = []
+    ops = 0
+    for v, (los, his) in enumerate(starts):
+        los, his = list(los), list(his)
+        result = [v] * (i + 1)
+        ops += i
+        for j in range(i - 1, -1, -1):
+            low, high = los[j], his[j]
+            table = opposite[j]
+            for x in range(low, high + 1) if want_min else range(high, low - 1, -1):
+                entry = table[x]
+                if entry is None:
+                    continue
+                if want_min:
+                    for l in range(j):
+                        if entry[l] < los[l]:
+                            break
+                    else:
+                        break
+                else:
+                    for l in range(j):
+                        if entry[l] > his[l]:
+                            break
+                    else:
+                        break
+            else:
+                ops += (1 + j) * max(0, high - low + 1)
+                row.append(None)
+                break
+            ops += (1 + j) * (x - low + 1 if want_min else high - x + 1) + j
+            result[j] = x
+            for l, (lo_row, hi_row) in enumerate(ivals[j]):
+                if lo_row[x] > los[l]:
+                    los[l] = lo_row[x]
+                if hi_row[x] < his[l]:
+                    his[l] = hi_row[x]
         else:
-            x = high
-            while x >= low:
-                ops += 1 + j
-                if j == 0:
-                    found = x
-                    break
-                entry = mins[j][x]
-                if entry is not None and all(entry[l] <= his[l] for l in range(j)):
-                    found = x
-                    break
-                x -= 1
-        if found < 0:
-            c.add(ops)
-            return None
-        result[j] = found
-        for l, (lo_row, hi_row) in enumerate(ivals[j]):
-            los[l] = max(los[l], lo_row[found])
-            his[l] = min(his[l], hi_row[found])
-        ops += j
+            row.append(tuple(result))
     c.add(ops)
-    if result[ci] != v:
-        raise PosetmcError("internal error: table entry does not end at its vertex")
-    return tuple(result)
+    return row
 
 
 def clique_step(state: tuple | None, i: int, size: int, entries: list, c: OpCounter) -> tuple | None:
     """Add class i to the MinK/MaxK rows of classes 0..i-1.
 
-    The state is (ivals, mins, maxs), one item per class (see `_extend`);
-    `entries[j].col_ivals` are the intervals of class i into class j.  Class 0's
-    rows are the trivial cliques {v}.  Returns None when the MinK row of
-    class i has no entry: then classes 0..i have no clique.
+    The state is (ivals, mins, maxs), one item per class: the intervals of
+    the class into each earlier class, and its MinK and MaxK rows (see
+    `_row`).  `entries[j].col_ivals` are the intervals of class i into class
+    j; class 0 has none, so its rows are the trivial cliques {v}.  Returns
+    None when the MinK row of class i has no entry: then classes 0..i have
+    no clique.
     """
     ivals, mins, maxs = state if state is not None else ((), (), ())
     ivals = (*ivals, tuple((e.col_ivals[0].tolist(), e.col_ivals[1].tolist()) for e in entries))
-    if i == 0:
-        if not size:
-            return None
-        min_row = max_row = [(v,) for v in range(size)]
-    else:
-        min_row = [_extend(ivals, i, v, mins, maxs, True, c) for v in range(size)]
-        if all(entry is None for entry in min_row):
-            return None
-        max_row = [_extend(ivals, i, v, mins, maxs, False, c) for v in range(size)]
-    return ivals, (*mins, min_row), (*maxs, max_row)
+    min_row = _row(ivals, i, size, maxs, True, c)
+    if not any(min_row):  # entries are nonempty tuples or None
+        return None
+    return ivals, (*mins, min_row), (*maxs, _row(ivals, i, size, mins, False, c))
 
 
 def _least_clique(state: tuple) -> tuple[int, ...]:

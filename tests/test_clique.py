@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import posetmc as pm
-from posetmc.clique import compute_clique_tables
+from posetmc.clique import clique_step, compute_clique_tables, fold_classes
 from conftest import antichain, chain, make_random_pair
 
 
@@ -390,3 +390,139 @@ def test_pattern_longer_than_host_is_cut():
         counter = pm.OpCounter()
         assert embed(pattern, host, counter) is None
         assert counter.branches == 135
+
+
+def _reference_extend(ivals, ci, v, mins, maxs, want_min, c):
+    """The per-vertex table entry that `clique._row` replaced, kept verbatim
+    as the reference for its rows and its `ops`."""
+    own = ivals[ci]
+    los = [own[l][0][v] for l in range(ci)]
+    his = [own[l][1][v] for l in range(ci)]
+    ops = ci
+    result = [-1] * (ci + 1)
+    result[ci] = v
+    for j in range(ci - 1, -1, -1):
+        low, high = los[j], his[j]
+        found = -1
+        if want_min:
+            x = low
+            while x <= high:
+                ops += 1 + j
+                if j == 0:
+                    found = x
+                    break
+                entry = maxs[j][x]
+                if entry is not None and all(entry[l] >= los[l] for l in range(j)):
+                    found = x
+                    break
+                x += 1
+        else:
+            x = high
+            while x >= low:
+                ops += 1 + j
+                if j == 0:
+                    found = x
+                    break
+                entry = mins[j][x]
+                if entry is not None and all(entry[l] <= his[l] for l in range(j)):
+                    found = x
+                    break
+                x -= 1
+        if found < 0:
+            c.add(ops)
+            return None
+        result[j] = found
+        for l, (lo_row, hi_row) in enumerate(ivals[j]):
+            los[l] = max(los[l], lo_row[found])
+            his[l] = min(his[l], hi_row[found])
+        ops += j
+    c.add(ops)
+    return tuple(result)
+
+
+def _reference_step(state, i, size, entries, c):
+    """`clique_step` with one `_reference_extend` call per vertex."""
+    ivals, mins, maxs = state if state is not None else ((), (), ())
+    ivals = (*ivals, tuple((e.col_ivals[0].tolist(), e.col_ivals[1].tolist()) for e in entries))
+    if i == 0:
+        if not size:
+            return None
+        min_row = max_row = [(v,) for v in range(size)]
+    else:
+        min_row = [_reference_extend(ivals, i, v, mins, maxs, True, c) for v in range(size)]
+        if all(entry is None for entry in min_row):
+            return None
+        max_row = [_reference_extend(ivals, i, v, mins, maxs, False, c) for v in range(size)]
+    return ivals, (*mins, min_row), (*maxs, max_row)
+
+
+@st.composite
+def _sliced_graphs(draw):
+    """G(P, Q, f) for a pattern of k <= 5 elements and a host of width w <= 4,
+    with each class optionally cut to a contiguous slice, possibly empty.
+    An induced subgraph of an interval-monotone graph on slices of the class
+    orders is again interval-monotone."""
+    seeds, density = st.integers(0, 2**30), st.floats(0.0, 1.0)
+    k = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(k)))
+    q = pm.Poset(pm.random_poset(k, draw(density), draw(seeds)).leq[np.ix_(perm, perm)])
+    if draw(st.booleans()):
+        w = draw(st.integers(1, 4))
+        offsets = draw(st.lists(st.integers(0, 2), min_size=w, max_size=w))
+        p = pm.banded_poset(draw(st.integers(w, 14)), w, band=draw(st.integers(1, 2)), offsets=offsets)
+    else:
+        p = pm.random_poset(draw(st.integers(1, 10)), draw(st.floats(0.3, 1.0)), draw(seeds))
+    w, cp = pm.width_and_chain_partition(p)
+    assume(w <= 4)
+    f = draw(st.lists(st.integers(0, w - 1), min_size=k, max_size=k))
+    g = pm.build_colored_graph(q, p, f, cp)
+    if not draw(st.booleans()):
+        return g
+    cuts = [sorted(draw(st.lists(st.integers(0, g.class_size(i)), min_size=2, max_size=2))) for i in range(k)]
+    elements = [g.elements[i][a:b] for i, (a, b) in enumerate(cuts)]
+    adjacency = {
+        (i, j): g.adjacency(i, j)[cuts[i][0] : cuts[i][1], cuts[j][0] : cuts[j][1]]
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+    return pm.ColoredGraph(elements, adjacency)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sliced_graphs())
+@example(_hand_graph([2, 0, 1], []))  # an empty class
+@example(_hand_graph([2, 2, 2], [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 1), (2, 0)), ((0, 1), (2, 0))]))
+def test_row_loop_matches_per_vertex_reference(g):
+    # step by step: every MinK/MaxK row and the ops each step adds
+    def both(state, i, size, entries, c):
+        new_state, ref_state = state if state is not None else (None, None)
+        c_new, c_ref = pm.OpCounter(), pm.OpCounter()
+        new = clique_step(new_state, i, size, entries, c_new)
+        ref = _reference_step(ref_state, i, size, entries, c_ref)
+        assert c_new.ops == c_ref.ops
+        assert (new is None) == (ref is None)
+        if new is None:
+            return None
+        assert new[1][-1] == ref[1][-1] and new[2][-1] == ref[2][-1]
+        return new, ref
+
+    fold_classes(g, both)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sliced_graphs())
+def test_table_entries_monotone_in_class_order(g):
+    """MinK[i][v] <= MinK[i][v'] and MaxK[i][v] <= MaxK[i][v'] coordinatewise
+    for v < v' in class i-1 that both have entries A and B.
+
+    clique_min(A, B) is a clique (interval monotonicity) through v, so A <= min(A, B) <= B by A's minimality;
+    clique_max(A, B) is a clique through v', so A <= max(A, B) <= B by B's maximality.
+    Any vectorised row (cumulative extremes, binary search) may rest on this.
+    """
+    assert pm.is_interval_monotone(g)
+    tables = compute_clique_tables(g)
+    for i in range(1, g.k + 1):
+        for entry_of in (tables.min_entry, tables.max_entry):
+            entries = [e for e in (entry_of(i, v) for v in range(g.class_size(i - 1))) if e is not None]
+            for a, b in zip(entries, entries[1:]):
+                assert all(x <= y for x, y in zip(a, b))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetmc as pm
+from posetmc.poset import DENSE_BYTES_PER_CELL, cover_pairs
 from conftest import antichain, chain, diamond
 
 
@@ -352,6 +354,20 @@ def test_poset_text_elements_over_memory_is_error():
     # about 9 TB for the bool matrix alone; rejected before anything is allocated
     with pytest.raises(pm.FormatError, match="3000000 elements"):
         pm.parse_poset_text("poset t\nelements 3000000\n")
+
+
+def test_dense_cap_matches_write_back_peak():
+    # the held relation and `cover_pairs` at a modest size; the cap's factor
+    # must cover the measured peak per cell and be no whole byte above it
+    n = 400
+    leq = pm.banded_poset(n, 3, band=1).leq
+    tracemalloc.start()
+    try:
+        cover_pairs(pm.Poset(leq, validate=False))  # Poset copies leq: the held relation
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert DENSE_BYTES_PER_CELL - 1 < peak / (n * n) <= DENSE_BYTES_PER_CELL
 
 
 def test_poset_text_errors():
