@@ -12,11 +12,11 @@ import sys
 import time
 from typing import Sequence
 
-from .errors import FormulaSyntaxError, PosetmcError
+from .errors import PosetmcError
 from .generators import banded_poset, independent_poset, load_graph, poset_of_graph, random_poset, stack_posets
 from .instrument import OpCounter
 from .logic import Sentence, eval_matrix, parse_sentence
-from .poset import format_poset_text, load_poset, width_and_chain_partition
+from .poset import _read_text, format_poset_text, load_poset, width_and_chain_partition
 from .reduction import _SOLVERS, model_check
 
 EXIT_YES = 0
@@ -32,12 +32,7 @@ def _load_sentence(args) -> Sentence:
     if args.phi is not None:
         return parse_sentence(args.phi)
     if args.formula is not None:
-        with open(args.formula, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise FormulaSyntaxError(f"{args.formula}: not UTF-8 text", exc.start) from None
-        return parse_sentence(text)
+        return parse_sentence(_read_text(args.formula))
     raise PosetmcError("one of --phi or --formula is required")
 
 

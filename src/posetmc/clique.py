@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NotIntervalMonotone, PosetmcError, PreconditionViolation
 from .instrument import OpCounter
 from .poset import ChainPartition, Poset, pair_relation
-from .poset import is_embedding, width_and_chain_partition
+from .poset import _check_embed_inputs, is_embedding, width_and_chain_partition
 
 
 def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +56,7 @@ def _row_intervals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ColoredGraph:
-    """k ordered colour classes with adjacency between distinct classes only.
+    """k >= 1 ordered colour classes with adjacency between distinct classes only.
 
     `elements[i]` records the host element underlying each vertex of class i;
     vertices are referred to by their position in their class, which is also
@@ -66,6 +66,8 @@ class ColoredGraph:
 
     def __init__(self, elements: Sequence[Sequence[int]], adjacency: Mapping[tuple[int, int], np.ndarray]):
         self.k = len(elements)
+        if not self.k:
+            raise PreconditionViolation("coloured graph needs at least one class")
         self.elements = [np.asarray(cls, dtype=np.int64) for cls in elements]
         sizes = [len(cls) for cls in self.elements]
         self._adj: dict[tuple[int, int], np.ndarray] = {}
@@ -172,10 +174,7 @@ def embed_over_compat_functions(
     per class; it is mapped to host elements and re-verified before it is
     returned.
     """
-    if q.n == 0:
-        raise PreconditionViolation("pattern must be nonempty")
-    if p.n == 0:
-        raise PreconditionViolation("host must be nonempty")
+    _check_embed_inputs(q, p)
     c = counter if counter is not None else OpCounter()
     w, cp = width_and_chain_partition(p)
     cache: dict = {}
@@ -425,8 +424,6 @@ def solve_multicolored_clique(
     The witness is MinK[k][v] for the class-order-least v whose entry is
     nonempty, so results are deterministic.
     """
-    if g.k == 0:
-        raise PreconditionViolation("coloured graph needs at least one class")
     state, done = fold_classes(g, clique_step, counter)
     return _least_clique(state) if done == g.k else None
 

@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, IndexOutOfRange, PreconditionViolation
-from .poset import Poset, _bool_matmul, _check_dense_fits, close_and_validate, disjoint_union
+from .errors import IndexOutOfRange, PreconditionViolation
+from .poset import Poset, _bool_matmul, _check_dense_fits, _format_lines, _parse_lines, _read_text
+from .poset import close_and_validate, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,11 @@ class SimpleGraph:
 
 
 def independent_poset(k: int) -> Poset:
-    """I_k: k mutually incomparable chains of three elements (3i, 3i+1, 3i+2)."""
+    """I_k: k mutually incomparable chains of three elements (3i, 3i+1, 3i+2),
+    the chain-triple poset of the edgeless graph on k vertices."""
     if k < 1:
         raise PreconditionViolation("k must be at least 1")
-    n = 3 * k
-    leq = np.eye(n, dtype=bool)
-    for i in range(k):
-        a = 3 * i
-        leq[a, a + 1] = leq[a, a + 2] = leq[a + 1, a + 2] = True
-    return Poset(leq, validate=False)
+    return poset_of_graph(SimpleGraph(k, frozenset()))
 
 
 def poset_of_graph(g: SimpleGraph) -> Poset:
@@ -57,6 +54,7 @@ def poset_of_graph(g: SimpleGraph) -> Poset:
     and every c_v maximal, so the cross pairs compose with nothing.
     """
     n = 3 * g.n
+    _check_dense_fits(n, f"{g.n} vertices")
     leq = np.eye(n, dtype=bool)
     for v in range(g.n):
         a = 3 * v
@@ -76,6 +74,7 @@ def stack_posets(parts: Sequence[Poset]) -> Poset:
     if len(parts) < 1:
         raise PreconditionViolation("need at least one poset")
     n = sum(p.n for p in parts)
+    _check_dense_fits(n, f"{n} elements")
     leq = np.zeros((n, n), dtype=bool)
     offset = 0
     offsets = []
@@ -134,6 +133,7 @@ def random_poset(n: int, density: float, seed: int) -> Poset:
         raise PreconditionViolation(f"negative size {n}")
     if not 0.0 <= density <= 1.0:
         raise PreconditionViolation(f"density {density} outside [0, 1]")
+    _check_dense_fits(n, f"{n} elements")
     rng = random.Random(seed)
     arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
     return close_and_validate(n, arcs)
@@ -151,6 +151,7 @@ def banded_poset(n: int, w: int, band: int = 1, offsets: Sequence[int] | None = 
         raise PreconditionViolation(f"need 1 <= w <= n, got w={w}, n={n}")
     if band < 1:
         raise PreconditionViolation("band must be at least 1")
+    _check_dense_fits(n, f"{n} elements")
     if offsets is None:
         offsets = [0] * w
     if len(offsets) != w:
@@ -171,59 +172,17 @@ def banded_poset(n: int, w: int, band: int = 1, offsets: Sequence[int] | None = 
     return Poset(leq, validate=False)
 
 
-# -- graph text format -----------------------------------------------------------
-#
-#   graph <name>
-#   vertices <n>
-#   edge <u> <v>
-#
-# mirroring the poset format; `#` starts a comment.
+# -- graph text format: the line grammar of `poset.py`, 3 elements per vertex --
 
 
 def parse_graph_text(text: str) -> SimpleGraph:
-    n: int | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        if kind == "graph":
-            continue
-        if kind == "vertices":
-            if len(fields) != 2 or not fields[1].isdecimal():
-                raise FormatError(f"line {lineno}: expected 'vertices <n>'")
-            n = int(fields[1])
-            _check_dense_fits(3 * n, lineno, f"{n} vertices")  # `poset_of_graph` takes 3 elements per vertex
-        elif kind == "edge":
-            if len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'edge <u> <v>'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer vertex id") from exc
-            edges.append((u, v))
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {kind!r}")
-    if n is None:
-        raise FormatError("missing 'vertices <n>' line")
-    try:
-        return SimpleGraph.from_edges(n, edges)
-    except (IndexOutOfRange, PreconditionViolation) as exc:
-        raise FormatError(str(exc)) from exc
+    """The graph of the text's edge lines; edges are normalized to u < v."""
+    return _parse_lines(text, "graph", "vertices", ("edge",), "vertex", 3, SimpleGraph.from_edges)
 
 
 def format_graph_text(g: SimpleGraph, name: str = "g") -> str:
-    lines = [f"graph {name}", f"vertices {g.n}"]
-    lines += [f"edge {u} {v}" for u, v in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
+    return _format_lines("graph", name, "vertices", g.n, "edge", sorted(g.edges))
 
 
 def load_graph(path: str) -> SimpleGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    return parse_graph_text(text)
+    return parse_graph_text(_read_text(path))

@@ -11,9 +11,12 @@ Grammar (operators by decreasing precedence: ! then & then |):
     atom     := IDENT ('<=' | '=') IDENT
 
 'E' and 'A' are reserved words.  A universal quantifier ('A') is rejected.
-Negation may appear anywhere in the input; the parsed matrix is normalised
-to negation normal form (negations on atoms only), which is the shape every
-other module relies on.
+Negation may appear anywhere in the input.  The parser builds the matrix in
+negation normal form (negations on atoms only), which is the shape every
+other module relies on: it carries the parity of the enclosing negations
+down the grammar, so a negated conjunction comes out as a disjunction of
+negated parts and vice versa, and nested conjunctions (disjunctions) are
+flattened into one node.
 """
 
 from __future__ import annotations
@@ -109,22 +112,32 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-# -- raw parse tree (pre-NNF) ----------------------------------------------------
-
-_RNot = tuple  # ("not", node) | ("and", items) | ("or", items) | ("atom", kind, l, r)
+# -- parser --------------------------------------------------------------------
 
 # Parentheses and negations open at once.  Every recursive walk of a formula
-# (this parser, `_to_nnf`, `eval_matrix`, `format_matrix`) takes at most
-# three frames per level, so this keeps them well inside Python's default
-# recursion limit of 1000.
+# (this parser, `eval_matrix`, `format_matrix`) takes at most three frames
+# per level, so this keeps them well inside Python's default recursion limit
+# of 1000.
 MAX_NESTING = 100
 
 
+def _join(cls: type, items: list[Matrix]) -> Matrix:
+    """One item, or a `cls` node whose items of class `cls` are spliced in."""
+    if len(items) == 1:
+        return items[0]
+    return cls(tuple(x for item in items for x in (item.items if isinstance(item, cls) else (item,))))
+
+
 class _Parser:
+    """Recursive descent that builds the NNF matrix directly: each rule is
+    told whether an odd number of negations encloses it, and a negated
+    rule swaps `And` and `Or` and negates its atoms (De Morgan)."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.used: set[str] = set()  # names read in atoms
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -146,7 +159,7 @@ class _Parser:
             raise FormulaSyntaxError(f"{tok.text!r} is reserved and cannot name a variable", tok.pos)
         return tok
 
-    def parse_sentence(self) -> tuple[list[str], _RNot]:
+    def parse_sentence(self) -> Sentence:
         names: list[str] = []
         while self.peek().kind == "ident" and self.peek().text in _RESERVED:
             quant = self.take()
@@ -157,27 +170,30 @@ class _Parser:
             if name.text in names:
                 raise FormulaSyntaxError(f"variable {name.text!r} quantified twice", name.pos)
             names.append(name.text)
-        matrix = self.parse_or()
+        matrix = self.parse_or(False)
         tok = self.peek()
         if tok.kind != "eof":
             raise FormulaSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return names, matrix
+        free = sorted(self.used.difference(names))
+        if free:
+            raise FreeVariable(free[0])
+        return Sentence(tuple(Variable(name, i) for i, name in enumerate(names)), matrix)
 
-    def parse_or(self) -> _RNot:
-        items = [self.parse_and()]
+    def parse_or(self, negated: bool) -> Matrix:
+        items = [self.parse_and(negated)]
         while self.peek().kind == "or":
             self.take()
-            items.append(self.parse_and())
-        return items[0] if len(items) == 1 else ("or", tuple(items))
+            items.append(self.parse_and(negated))
+        return _join(And if negated else Or, items)
 
-    def parse_and(self) -> _RNot:
-        items = [self.parse_unary()]
+    def parse_and(self, negated: bool) -> Matrix:
+        items = [self.parse_unary(negated)]
         while self.peek().kind == "and":
             self.take()
-            items.append(self.parse_unary())
-        return items[0] if len(items) == 1 else ("and", tuple(items))
+            items.append(self.parse_unary(negated))
+        return _join(Or if negated else And, items)
 
-    def parse_unary(self) -> _RNot:
+    def parse_unary(self, negated: bool) -> Matrix:
         tok = self.peek()
         if tok.kind in ("not", "lp"):
             self.take()
@@ -185,9 +201,9 @@ class _Parser:
             if self.depth > MAX_NESTING:
                 raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
             if tok.kind == "not":
-                node = ("not", self.parse_unary())
+                node = self.parse_unary(not negated)
             else:
-                node = self.parse_or()
+                node = self.parse_or(negated)
                 self.expect("rp", "')'")
             self.depth -= 1
             return node
@@ -200,49 +216,13 @@ class _Parser:
         else:
             raise FormulaSyntaxError(f"expected '<=' or '=', found {op.text or 'end of input'!r}", op.pos)
         right = self.ident("a variable name")
-        return ("atom", kind, left.text, right.text)
-
-
-def _flatten(cls: type, items: tuple[Matrix, ...]) -> tuple[Matrix, ...]:
-    out: list[Matrix] = []
-    for item in items:
-        if isinstance(item, cls):
-            out.extend(item.items)
-        else:
-            out.append(item)
-    return tuple(out)
-
-
-def _to_nnf(node: _RNot, negated: bool) -> Matrix:
-    tag = node[0]
-    if tag == "atom":
-        _, kind, left, right = node
-        return Lit(kind, left, right, negated)
-    if tag == "not":
-        return _to_nnf(node[1], not negated)
-    items = tuple(_to_nnf(child, negated) for child in node[1])
-    flip = (tag == "and") == negated  # and under negation becomes or, and vice versa
-    if flip:
-        return Or(_flatten(Or, items))
-    return And(_flatten(And, items))
-
-
-def _matrix_names(m: Matrix) -> set[str]:
-    if isinstance(m, Lit):
-        return {m.left, m.right}
-    return set().union(*(_matrix_names(c) for c in m.items))
+        self.used.update((left.text, right.text))
+        return Lit(kind, left.text, right.text, negated)
 
 
 def parse_sentence(text: str) -> Sentence:
     """Parse a prenex existential sentence; the matrix comes out in NNF."""
-    names, raw = _Parser(_tokenize(text)).parse_sentence()
-    matrix = _to_nnf(raw, False)
-    bound = set(names)
-    for name in sorted(_matrix_names(matrix)):
-        if name not in bound:
-            raise FreeVariable(name)
-    vars_ = tuple(Variable(name, i) for i, name in enumerate(names))
-    return Sentence(vars_, matrix)
+    return _Parser(_tokenize(text)).parse_sentence()
 
 
 def eval_matrix(m: Matrix, p: Poset, assignment: Mapping[str, int]) -> bool:

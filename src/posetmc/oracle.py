@@ -19,7 +19,7 @@ from .clique import ColoredGraph
 from .errors import CapExceeded, PreconditionViolation
 from .instrument import OpCounter
 from .logic import Sentence, eval_matrix
-from .poset import Poset
+from .poset import Poset, _check_embed_inputs
 
 DEFAULT_EMBED_PATTERN_CAP = 6
 DEFAULT_EMBED_HOST_CAP = 16
@@ -56,6 +56,7 @@ def brute_force_embed(
     already violate the definition is skipped together with all its
     extensions, which cannot repair it.
     """
+    _check_embed_inputs(q, p)
     if q.n > _cap(pattern_cap, DEFAULT_EMBED_PATTERN_CAP):
         raise CapExceeded(f"pattern size {q.n} over cap")
     if p.n > _cap(host_cap, DEFAULT_EMBED_HOST_CAP):
@@ -87,8 +88,6 @@ def brute_force_embed(
             used[target] = False
         return False
 
-    if q.n == 0:
-        return ()
     return tuple(image) if search(0) else None
 
 

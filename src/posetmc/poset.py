@@ -1,5 +1,6 @@
-"""Finite posets: queries, width and chain partitions, and the edge rule that
-turns a compatibility function into the relations both embedding engines solve.
+"""Finite posets: queries, width and chain partitions, the edge rule that
+turns a compatibility function into the relations both embedding engines
+solve, and the text format that poset and graph files share.
 
 Elements are dense 0-based indices.  The order relation is stored as a dense
 n-by-n boolean matrix `leq` with leq[a, b] == True iff a <= b.  Posets are
@@ -15,7 +16,7 @@ import os
 import sys
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,6 +215,14 @@ def disjoint_union(a: Poset, b: Poset) -> Poset:
     leq[: a.n, : a.n] = a.leq
     leq[a.n :, a.n :] = b.leq
     return Poset(leq, validate=False)
+
+
+def _check_embed_inputs(q: Poset, p: Poset) -> None:
+    """The rule every embedding engine applies: pattern and host are nonempty."""
+    if q.n == 0:
+        raise PreconditionViolation("pattern must be nonempty")
+    if p.n == 0:
+        raise PreconditionViolation("host must be nonempty")
 
 
 def is_embedding(q: Poset, p: Poset, e: Sequence[int]) -> bool:
@@ -423,13 +432,16 @@ def pair_relation(
     return entry
 
 
-# -- poset text format ---------------------------------------------------------
+# -- text formats ----------------------------------------------------------------
 #
-#   poset <name>
-#   elements <n>
-#   cover <u> <v>        # 0-based, u < v; the closure is taken on load
+# Poset and graph files share one line grammar:
 #
-# `leq <u> <v>` is accepted as a synonym for `cover`; `#` starts a comment.
+#   poset <name>         graph <name>       # optional header, at most once
+#   elements <n>         vertices <n>       # count, exactly once
+#   cover <u> <v>        edge <u> <v>       # pairs of 0-based ids
+#
+# `#` starts a comment.  In a poset file a cover means u < v and the closure
+# is taken on load; `leq <u> <v>` is a synonym.
 
 
 def _physical_memory() -> int:
@@ -448,62 +460,83 @@ def _physical_memory() -> int:
 DENSE_BYTES_PER_CELL = 15
 
 
-def _check_dense_fits(n: int, lineno: int, what: str) -> None:
-    """FormatError, before anything is allocated, unless a poset of n
-    elements read on line `lineno` can be held and written back as text."""
+def _check_dense_fits(n: int, what: str) -> None:
+    """PreconditionViolation, before anything is allocated, unless a poset
+    of n elements can be held and written back as text."""
     if DENSE_BYTES_PER_CELL * n * n > _physical_memory():
-        raise FormatError(f"line {lineno}: {what} do not fit a dense relation matrix")
+        raise PreconditionViolation(f"{what} do not fit a dense relation matrix")
 
 
-def parse_poset_text(text: str) -> Poset:
-    name_seen = False
+def _parse_lines(
+    text: str, header: str, count: str, pair_kinds: tuple[str, ...], noun: str, per_count: int, build: Callable
+):
+    """`build(n, pairs)` for a text in the shared line grammar.
+
+    The count line's n is checked with `_check_dense_fits` for `per_count`
+    poset elements each.  Every error is a FormatError, with the line number
+    where one line is at fault; so are `build`'s out-of-range ids and
+    precondition errors.
+    """
+    header_seen = False
     n: int | None = None
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "poset":
-            if name_seen:
-                raise FormatError(f"line {lineno}: duplicate 'poset' header")
-            name_seen = True
-        elif kind == "elements":
-            if n is not None:
-                raise FormatError(f"line {lineno}: duplicate 'elements' line")
-            if len(fields) != 2 or not fields[1].isdecimal():
-                raise FormatError(f"line {lineno}: expected 'elements <n>'")
-            n = int(fields[1])
-            _check_dense_fits(n, lineno, f"{n} elements")
-        elif kind in ("cover", "leq"):
-            if len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected '{kind} <u> <v>'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer element id") from exc
-            pairs.append((u, v))
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {kind!r}")
+        try:
+            if kind == header:
+                if header_seen:
+                    raise FormatError(f"duplicate {header!r} header")
+                header_seen = True
+            elif kind == count:
+                if n is not None:
+                    raise FormatError(f"duplicate {count!r} line")
+                if len(fields) != 2 or not fields[1].isdecimal():
+                    raise FormatError(f"expected '{count} <n>'")
+                n = int(fields[1])
+                _check_dense_fits(per_count * n, f"{n} {count}")
+            elif kind in pair_kinds:
+                if len(fields) != 3:
+                    raise FormatError(f"expected '{kind} <u> <v>'")
+                try:
+                    pairs.append((int(fields[1]), int(fields[2])))
+                except ValueError:
+                    raise FormatError(f"non-integer {noun} id") from None
+            else:
+                raise FormatError(f"unknown directive {kind!r}")
+        except (FormatError, PreconditionViolation) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
     if n is None:
-        raise FormatError("missing 'elements <n>' line")
+        raise FormatError(f"missing '{count} <n>' line")
     try:
-        return close_and_validate(n, pairs)
-    except IndexOutOfRange as exc:
+        return build(n, pairs)
+    except (IndexOutOfRange, PreconditionViolation) as exc:
         raise FormatError(str(exc)) from exc
 
 
+def _format_lines(header: str, name: str, count: str, n: int, kind: str, pairs: Iterable) -> str:
+    return f"{header} {name}\n{count} {n}\n" + "".join(f"{kind} {u} {v}\n" for u, v in pairs)
+
+
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; FormatError if it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def parse_poset_text(text: str) -> Poset:
+    """The poset whose order is the closure of the text's cover lines."""
+    return _parse_lines(text, "poset", "elements", ("cover", "leq"), "element", 1, close_and_validate)
+
+
 def format_poset_text(p: Poset, name: str = "p") -> str:
-    lines = [f"poset {name}", f"elements {p.n}"]
-    lines += [f"cover {u} {v}" for u, v in cover_pairs(p)]
-    return "\n".join(lines) + "\n"
+    return _format_lines("poset", name, "elements", p.n, "cover", cover_pairs(p))
 
 
 def load_poset(path: str) -> Poset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    return parse_poset_text(text)
+    return parse_poset_text(_read_text(path))

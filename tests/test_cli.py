@@ -137,6 +137,15 @@ def test_superscript_vertex_count_is_error(tmp_path, capsys):
     assert "expected 'vertices <n>'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["clique", "csp", "brute"])
+@pytest.mark.parametrize("empty_side", ["pattern", "host"])
+def test_embed_empty_poset_is_error(tmp_path, chain2, solver, empty_side, capsys):
+    empty = _write(tmp_path, "empty.poset", "poset empty\nelements 0\n")
+    pattern, host = (empty, chain2) if empty_side == "pattern" else (chain2, empty)
+    assert main(["embed", "--solver", solver, "--pattern", pattern, "--host", host]) == 2
+    assert "must be nonempty" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "1e3"])
 def test_bad_oracle_cap_is_error(tmp_path, chain2, value, monkeypatch, capsys):
     monkeypatch.setenv("POSETMC_ORACLE_CAP", value)

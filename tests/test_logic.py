@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetmc as pm
@@ -130,3 +130,146 @@ def test_print_parse_roundtrip(seed, q):
 def test_formula_size_counts_nodes():
     s = pm.parse_sentence("E x. E y. x <= y & !(y <= x)")
     assert pm.formula_size(s) == 2 + 3  # two quantifiers, two literals, one connective
+
+
+# -- differential test: one-pass NNF parser against parse-then-normalise --------
+#
+# A test-local copy of the earlier two-pass parser: a raw tuple tree, then a
+# separate pass pushing negations to the atoms.  It shares only the tokenizer
+# and the token helpers with the library's parser.
+
+
+class _RawParser(logic._Parser):
+    def parse_sentence(self):
+        names = []
+        while self.peek().kind == "ident" and self.peek().text in logic._RESERVED:
+            quant = self.take()
+            if quant.text == "A":
+                raise pm.UnsupportedQuantifier(quant.pos)
+            name = self.ident("a variable name")
+            self.expect("dot", "'.'")
+            if name.text in names:
+                raise pm.FormulaSyntaxError(f"variable {name.text!r} quantified twice", name.pos)
+            names.append(name.text)
+        matrix = self.parse_or()
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise pm.FormulaSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        return names, matrix
+
+    def parse_or(self):
+        items = [self.parse_and()]
+        while self.peek().kind == "or":
+            self.take()
+            items.append(self.parse_and())
+        return items[0] if len(items) == 1 else ("or", tuple(items))
+
+    def parse_and(self):
+        items = [self.parse_unary()]
+        while self.peek().kind == "and":
+            self.take()
+            items.append(self.parse_unary())
+        return items[0] if len(items) == 1 else ("and", tuple(items))
+
+    def parse_unary(self):
+        tok = self.peek()
+        if tok.kind in ("not", "lp"):
+            self.take()
+            self.depth += 1
+            if self.depth > logic.MAX_NESTING:
+                raise pm.FormulaSyntaxError(f"nesting deeper than {logic.MAX_NESTING} levels", tok.pos)
+            if tok.kind == "not":
+                node = ("not", self.parse_unary())
+            else:
+                node = self.parse_or()
+                self.expect("rp", "')'")
+            self.depth -= 1
+            return node
+        left = self.ident("a variable name")
+        op = self.take()
+        if op.kind == "leq":
+            kind = AtomKind.Leq
+        elif op.kind == "eq":
+            kind = AtomKind.Eq
+        else:
+            raise pm.FormulaSyntaxError(f"expected '<=' or '=', found {op.text or 'end of input'!r}", op.pos)
+        right = self.ident("a variable name")
+        return ("atom", kind, left.text, right.text)
+
+
+def _flatten(cls, items):
+    out = []
+    for item in items:
+        out.extend(item.items if isinstance(item, cls) else (item,))
+    return tuple(out)
+
+
+def _to_nnf(node, negated):
+    tag = node[0]
+    if tag == "atom":
+        _, kind, left, right = node
+        return Lit(kind, left, right, negated)
+    if tag == "not":
+        return _to_nnf(node[1], not negated)
+    items = tuple(_to_nnf(child, negated) for child in node[1])
+    if (tag == "and") == negated:  # and under negation becomes or, and vice versa
+        return Or(_flatten(Or, items))
+    return And(_flatten(And, items))
+
+
+def _names(m):
+    if isinstance(m, Lit):
+        return {m.left, m.right}
+    return set().union(*(_names(c) for c in m.items))
+
+
+def _two_pass_parse(text):
+    names, raw = _RawParser(logic._tokenize(text)).parse_sentence()
+    matrix = _to_nnf(raw, False)
+    for name in sorted(_names(matrix)):
+        if name not in names:
+            raise pm.FreeVariable(name)
+    return logic.Sentence(tuple(logic.Variable(name, i) for i, name in enumerate(names)), matrix)
+
+
+_NAMES = st.sampled_from(["x", "y", "z", "w"])  # w is never bound
+_ATOMS = st.builds("{} {} {}".format, _NAMES, st.sampled_from(["<=", "="]), _NAMES)
+
+
+def _group(op, items, parenthesised):
+    text = op.join(items)
+    return f"({text})" if parenthesised else text
+
+
+_FORMULAS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        inner.map("!{}".format),
+        st.builds(_group, st.sampled_from([" & ", " | "]), st.lists(inner, min_size=2, max_size=3), st.booleans()),
+    ),
+    max_leaves=16,
+)
+_NOISE = st.sampled_from(["!", "(", ")", "&", "|", "<=", "=", "E", "A", ".", "x", "w", "?"])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except pm.PosetmcError as exc:
+        return type(exc), str(exc)
+
+
+# an edit is (position, token to insert there, or None to drop a character)
+_EDITS = st.none() | st.tuples(st.integers(0, 10**6), st.none() | _NOISE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FORMULAS, _EDITS)
+@example("(x <= y & y <= z) & !(z = x | !(x = y & y <= x))", None)
+@example("x <= y | !(y = z & w <= x)", None)
+def test_one_pass_parser_matches_two_pass_reference(formula, edit):
+    text = "E x. E y. E z. " + formula
+    if edit is not None:  # malformed text, mostly
+        k, token = edit[0] % (len(text) + 1), edit[1]
+        text = text[:k] + (token or "") + text[k + (token is None) :]
+    assert _outcome(pm.parse_sentence, text) == _outcome(_two_pass_parse, text)

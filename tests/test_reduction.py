@@ -108,6 +108,31 @@ def test_model_check_empty_host_rejected():
         pm.model_check(s, pm.close_and_validate(0, []))
 
 
+EMPTY = pm.close_and_validate(0, [])
+EMBED_ENGINES = {"clique": pm.embed_via_clique, "csp": pm.embed_via_csp, "brute": pm.brute_force_embed}
+GRAPH_ENGINES = {
+    "clique": pm.solve_multicolored_clique,
+    "csp": pm.solve_min_closed,
+    "brute": pm.brute_force_clique,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(EMBED_ENGINES))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda engine: EMBED_ENGINES[engine](EMPTY, chain(2)),
+        lambda engine: EMBED_ENGINES[engine](chain(2), EMPTY),
+        lambda engine: GRAPH_ENGINES[engine](pm.ColoredGraph([], {})),
+    ],
+    ids=["empty pattern", "empty host", "zero-class graph"],
+)
+def test_empty_inputs_are_precondition_violations(engine, entry):
+    # one rule for every engine and entry point
+    with pytest.raises(pm.PreconditionViolation):
+        entry(engine)
+
+
 def test_model_check_unknown_solver_is_typed_error():
     s = pm.parse_sentence("E x. x <= x")
     with pytest.raises(pm.PosetmcError):

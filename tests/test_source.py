@@ -18,3 +18,33 @@ def test_library_has_no_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+_FILE_READS = {"open", "read_text", "read_bytes"}
+
+
+def _file_reads(tree):
+    """(enclosing function, line) of every call named like a file read."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in _FILE_READS:
+                found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_files_are_read_only_by_the_shared_reader():
+    # one UTF-8 reader, `poset._read_text`, serves poset, graph and formula files
+    reads = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reads += [(path.name, fn, line) for fn, line in _file_reads(tree)]
+    assert [(name, fn) for name, fn, _ in reads] == [("poset.py", "_read_text")], reads
