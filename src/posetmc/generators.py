@@ -14,8 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, PreconditionViolation
-from .poset import Poset, _bool_matmul, _check_dense_fits, _format_lines, _parse_lines, _read_text
-from .poset import close_and_validate, disjoint_union
+from .poset import Poset, _check_dense_fits, _format_lines, _parse_lines, _read_text, _unpack, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,6 @@ def stack_posets(parts: Sequence[Poset]) -> Poset:
     return Poset(leq, validate=False)
 
 
-def _has_three_chain(p: Poset) -> bool:
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
-    return bool(_bool_matmul(strict, strict).any())
-
-
 def or_compose(instances: Sequence[tuple[Poset, int]]) -> tuple[Poset, int]:
     """OR-composition for the independent-embedding problem.
 
@@ -112,7 +106,8 @@ def or_compose(instances: Sequence[tuple[Poset, int]]) -> tuple[Poset, int]:
         raise PreconditionViolation("all parameters must be at least 1")
     k_max = max(k for _, k in instances)
     if k_max == 1:
-        if any(_has_three_chain(p) for p, _ in instances):
+        # a 3-chain has a middle: an element with something below and above it
+        if any(((p.leq.sum(axis=0) > 1) & (p.leq.sum(axis=1) > 1)).any() for p, _ in instances):
             return independent_poset(1), 1
         one = np.ones((1, 1), dtype=bool)
         return Poset(one, validate=False), 1
@@ -123,11 +118,12 @@ def or_compose(instances: Sequence[tuple[Poset, int]]) -> tuple[Poset, int]:
 
 
 def random_poset(n: int, density: float, seed: int) -> Poset:
-    """Closure (`close_and_validate`) of index-respecting random arcs; always a valid poset.
+    """Closure of index-respecting random arcs; always a valid poset.
 
     Each pair (i, j) with i < j becomes an arc with the given probability;
     arcs point from lower to higher index, so the sampled digraph is acyclic
-    and the closure never violates antisymmetry.
+    and the closure never violates antisymmetry.  Arcs into i are drawn before
+    row i, so an arc (i, j) ORs i's finished down-set bitset into j's.
     """
     if n < 0:
         raise PreconditionViolation(f"negative size {n}")
@@ -135,8 +131,12 @@ def random_poset(n: int, density: float, seed: int) -> Poset:
         raise PreconditionViolation(f"density {density} outside [0, 1]")
     _check_dense_fits(n, f"{n} elements")
     rng = random.Random(seed)
-    arcs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
-    return close_and_validate(n, arcs)
+    down = [1 << j for j in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                down[j] |= down[i]
+    return Poset(_unpack(down, n).T, validate=False)
 
 
 def banded_poset(n: int, w: int, band: int = 1, offsets: Sequence[int] | None = None) -> Poset:
@@ -156,19 +156,11 @@ def banded_poset(n: int, w: int, band: int = 1, offsets: Sequence[int] | None = 
         offsets = [0] * w
     if len(offsets) != w:
         raise PreconditionViolation("need one offset per chain")
-    chain_id = np.empty(n, dtype=np.int64)
-    height = np.empty(n, dtype=np.int64)
-    base = n // w
-    extra = n % w
-    idx = 0
-    for r in range(w):
-        length = base + (1 if r < extra else 0)
-        chain_id[idx : idx + length] = r
-        height[idx : idx + length] = np.arange(1, length + 1) + offsets[r]
-        idx += length
-    same = chain_id[:, None] == chain_id[None, :]
-    diff = height[None, :] - height[:, None]
-    leq = (same & (diff >= 0)) | (~same & (diff >= band))
+    lengths = [n // w + (r < n % w) for r in range(w)]
+    height = np.concatenate([np.arange(1, k + 1, dtype=np.int64) + off for k, off in zip(lengths, offsets)])
+    leq = height[:, None] + band <= height[None, :]
+    for end, k in zip(np.cumsum(lengths), lengths):  # heights ascend along a chain
+        leq[end - k : end, end - k : end] = np.tri(k, dtype=bool).T
     return Poset(leq, validate=False)
 
 

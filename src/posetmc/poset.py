@@ -38,7 +38,7 @@ class Poset:
     __slots__ = ("n", "leq", "_chains")
 
     def __init__(self, leq: np.ndarray, validate: bool = True):
-        leq = np.array(leq, dtype=bool)
+        leq = np.array(leq, dtype=bool, order="C")
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise PreconditionViolation(f"leq must be square, got shape {leq.shape}")
         self.n = int(leq.shape[0])
@@ -50,9 +50,7 @@ class Poset:
 
     def validate(self) -> None:
         """Check reflexivity, antisymmetry and transitivity; raise if violated."""
-        n, leq = self.n, self.leq
-        if n == 0:
-            return
+        leq = self.leq
         if not leq.diagonal().all():
             raise PreconditionViolation("relation is not reflexive")
         sym = leq & leq.T
@@ -60,7 +58,7 @@ class Poset:
         if sym.any():
             a, b = map(int, np.argwhere(sym)[0])
             raise AntisymmetryViolation([a, b, a])
-        if (_bool_matmul(leq, leq) & ~leq).any():
+        if not _hasse(leq)[2]:
             raise PreconditionViolation("relation is not transitive")
 
     def __eq__(self, other: object) -> bool:
@@ -114,9 +112,46 @@ class ChainPartition:
         object.__setattr__(self, "below", below)
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # float32 matmul + threshold beats integer matmul for the sizes we see
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
+def _bitrows(m: np.ndarray) -> list[int]:
+    """Row i of a bool matrix as the Python int with bit j set iff m[i, j]."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack(bitsets: list[int], n: int) -> np.ndarray:
+    """The n-by-n bool matrix whose row i holds the bits of bitsets[i]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in bitsets), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _hasse(leq: np.ndarray) -> tuple[list[int], list[list[int]], bool]:
+    """Covers over ranks, and whether a reflexive antisymmetric `leq` is transitive.
+
+    Ranks sort elements by down-set size, a linear extension of a partial
+    order.  Above each x the walk puts the least rank c not yet reached into
+    above[rank of x] and reaches up(c), until it reaches the strict up-set
+    S(x).  In a partial order it takes exactly x's covers, at most width of
+    them: an element between x and c ranks lower, so it is taken or reaches c.
+
+    Rank lemma: `leq` is transitive iff the reach equals S(x) at every x.  For
+    "if", induct on up-set size: each up(c) taken lies in S(x), so it is smaller
+    than up(x) and closed upward, and every y in S(x) lies in one such up(c).
+    """
+    order = np.argsort(leq.sum(axis=0), kind="stable")
+    up = _bitrows(leq[np.ix_(order, order)])
+    above, transitive = [], True
+    for r, bits in enumerate(up):
+        strict = bits & ~(1 << r)
+        left, reach, covers = strict, 0, []
+        while left:
+            c = (left & -left).bit_length() - 1
+            covers.append(c)
+            reach |= up[c]
+            left &= ~up[c]
+        above.append(covers)
+        transitive = transitive and reach == strict
+    return order.tolist(), above, transitive
 
 
 def _check_index(i: int, n: int) -> None:
@@ -158,10 +193,7 @@ def close_and_validate(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
         for v in succ[x]:
             bits |= up[v]
         up[x] = bits
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in up), dtype=np.uint8)
-    rows = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
-    return Poset(rows.view(bool), validate=False)
+    return Poset(_unpack(up, n), validate=False)
 
 
 def _cycle_among(succ: list[set[int]], left: set[int]) -> list[int]:
@@ -200,12 +232,8 @@ def relate(p: Poset, a: int, b: int) -> Relation:
 
 def cover_pairs(p: Poset) -> list[tuple[int, int]]:
     """The Hasse diagram: pairs (a, b) with a < b and nothing strictly between."""
-    if p.n == 0:
-        return []
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
-    inbetween = _bool_matmul(strict, strict)
-    covers = strict & ~inbetween
-    return [(int(a), int(b)) for a, b in np.argwhere(covers)]
+    order, above, _ = _hasse(p.leq)
+    return sorted((order[r], order[c]) for r, covers in enumerate(above) for c in covers)
 
 
 def disjoint_union(a: Poset, b: Poset) -> Poset:
@@ -244,12 +272,6 @@ def is_embedding(q: Poset, p: Poset, e: Sequence[int]) -> bool:
 # iff a < b strictly.  A maximum matching M gives a partition into n - |M|
 # chains (follow matched successor links), and n - |M| equals the width.  The
 # antichain certificate comes from the complement of a minimum vertex cover.
-
-
-def _strict_bitrows(p: Poset) -> list[int]:
-    strict = p.leq & ~np.eye(p.n, dtype=bool)
-    packed = np.packbits(strict, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _max_matching(rows: list[int], n: int) -> tuple[list[int], list[int]]:
@@ -339,7 +361,7 @@ def width_and_chain_partition(p: Poset) -> tuple[int, ChainPartition]:
     if p.n == 0:
         raise PreconditionViolation("width of the empty poset is not supported")
     n = p.n
-    rows = _strict_bitrows(p)
+    rows = [bits & ~(1 << x) for x, bits in enumerate(_bitrows(p.leq))]
     match_l, match_r = _max_matching(rows, n)
     matched = sum(1 for b in match_l if b != -1)
     w = n - matched
@@ -453,11 +475,11 @@ def _physical_memory() -> int:
 
 
 # Peak bytes per matrix cell while a poset is held and written back as text:
-# its bool `leq`, then in `cover_pairs` a strict bool copy, two float32 copies
-# and their float32 product.  tracemalloc measures 14.007 at banded n = 400
-# and 14.0001 at n = 3,200, so whole bytes round it up to 15.  The closure on
-# load needs about 2.3.
-DENSE_BYTES_PER_CELL = 15
+# its bool `leq`, then in `cover_pairs` a copy in rank order, its packed bits,
+# their Python-int bitsets and the covers.  tracemalloc measures 2.85 at banded
+# n = 400 and 2.27 at n = 3,200, so whole bytes round it up to 3.  The load and
+# the other builders that run this check peak at 2.0 to 2.5.
+DENSE_BYTES_PER_CELL = 3
 
 
 def _check_dense_fits(n: int, what: str) -> None:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetmc as pm
@@ -368,6 +368,97 @@ def test_dense_cap_matches_write_back_peak():
     finally:
         tracemalloc.stop()
     assert DENSE_BYTES_PER_CELL - 1 < peak / (n * n) <= DENSE_BYTES_PER_CELL
+
+
+def _peak_per_cell(build, n):
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (n * n)
+
+
+_STACK_PARTS = [pm.banded_poset(100, 2, band=1) for _ in range(4)]
+_PATH_GRAPH = pm.SimpleGraph.from_edges(133, [(v, v + 1) for v in range(132)])
+_BANDED_TEXT = pm.format_poset_text(pm.banded_poset(1600, 3, band=1))
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (lambda: pm.banded_poset(400, 3, band=1), 400),
+        (lambda: pm.poset_of_graph(_PATH_GRAPH), 399),
+        (lambda: pm.stack_posets(_STACK_PARTS), 400),
+        (lambda: pm.random_poset(400, 0.5, 7), 400),
+        (lambda: pm.random_poset(400, 1.0, 7), 400),
+        (lambda: pm.parse_poset_text(_BANDED_TEXT), 1600),  # O(n) text terms are small here
+    ],
+    ids=["banded", "poset_of_graph", "stack", "random-0.5", "random-1.0", "load"],
+)
+def test_guarded_builders_fit_the_dense_cap(build, n):
+    # every builder behind `_check_dense_fits`, at sizes far below the cap
+    assert _peak_per_cell(build, n) <= DENSE_BYTES_PER_CELL
+
+
+def _matmul_covers(leq):
+    """Reference: the covers read off the float32 product of the strict relation."""
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    inbetween = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
+    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~inbetween)]
+
+
+def _matmul_validate(leq):
+    """Reference: validation with the transitivity check as a float32 product."""
+    if len(leq) == 0:
+        return
+    if not leq.diagonal().all():
+        raise pm.PreconditionViolation("relation is not reflexive")
+    sym = leq & leq.T
+    np.fill_diagonal(sym, False)
+    if sym.any():
+        a, b = map(int, np.argwhere(sym)[0])
+        raise pm.AntisymmetryViolation([a, b, a])
+    if (((leq.astype(np.float32) @ leq.astype(np.float32)) > 0.5) & ~leq).any():
+        raise pm.PreconditionViolation("relation is not transitive")
+
+
+def _outcome(check, leq):
+    try:
+        check(leq)
+    except pm.PosetmcError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def flipped_posets(draw):
+    """Posets of at most nine elements with up to three cells flipped."""
+    n = draw(st.integers(0, 9))
+    leq = pm.random_poset(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**30))).leq.copy()
+    if n:
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+            leq[a, b] = not leq[a, b]
+    return leq
+
+
+def _complete_bipartite(half):
+    leq = np.eye(2 * half, dtype=bool)
+    leq[:half, half:] = True
+    return leq
+
+
+@settings(max_examples=400, deadline=None)
+@given(flipped_posets())
+@example(np.zeros((0, 0), dtype=bool))
+@example(np.ones((1, 1), dtype=bool))
+@example(_complete_bipartite(5))
+def test_bitset_kernel_matches_float_product(leq):
+    want = _outcome(_matmul_validate, leq)
+    assert _outcome(pm.Poset, leq) == want
+    if want is None:
+        assert pm.cover_pairs(pm.Poset(leq)) == _matmul_covers(leq)
 
 
 def test_poset_text_errors():

@@ -48,3 +48,29 @@ def test_files_are_read_only_by_the_shared_reader():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         reads += [(path.name, fn, line) for fn, line in _file_reads(tree)]
     assert [(name, fn) for name, fn, _ in reads] == [("poset.py", "_read_text")], reads
+
+
+_FLOAT_TYPES = {"float16", "float32", "float64"}
+
+
+def _float_uses(tree):
+    """Lines of float dtype attributes and of `astype` calls to a float type."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _FLOAT_TYPES:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype":
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                name = getattr(arg, "id", None) or getattr(arg, "attr", None) or getattr(arg, "value", None)
+                if isinstance(name, str) and name.startswith("float"):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_library_has_no_float_relations(path):
+    # relations are closed, covered and checked on bitsets; a float matrix
+    # product would be a second, cubic mechanism with larger copies
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _float_uses(tree)
+    assert not lines, f"{path.name}: float arithmetic on lines {lines}"
