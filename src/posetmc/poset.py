@@ -49,17 +49,24 @@ class Poset:
             self.validate()
 
     def validate(self) -> None:
-        """Check reflexivity, antisymmetry and transitivity; raise if violated."""
+        """Check reflexivity, antisymmetry and transitivity; raise if violated.
+
+        After the diagonal, one read of `leq`: the order walk of `_hasse`
+        decides whether a reflexive relation is a partial order.  Only when
+        it is not does the transposed read run, to name the first pair
+        a != b with a <= b <= a (AntisymmetryViolation) if there is one.
+        """
         leq = self.leq
         if not leq.diagonal().all():
             raise PreconditionViolation("relation is not reflexive")
-        sym = leq & leq.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            a, b = map(int, np.argwhere(sym)[0])
+        if _hasse(leq)[2]:
+            return
+        twins = leq & leq.T
+        np.fill_diagonal(twins, False)
+        if twins.any():
+            a, b = divmod(int(twins.argmax()), self.n)
             raise AntisymmetryViolation([a, b, a])
-        if not _hasse(leq)[2]:
-            raise PreconditionViolation("relation is not transitive")
+        raise PreconditionViolation("relation is not transitive")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -87,6 +94,12 @@ class ChainPartition:
     `below[b][x]` the position of the greatest element <= x (-1 if none).
     So x <= chains[b][t] iff t >= above[b][x], and chains[b][t] <= x iff
     t <= below[b][x].
+
+    Construction reads `leq` once, in the rows of each chain: below[b][x] is
+    the count of chain b's elements <= x, less one.  In a partial order,
+    chain b ascends iff below[b] reads 0, 1, .. along it.  For x at position s on chain a,
+    x <= c_t iff below[a][c_t] >= s, and below[a] never decreases along
+    chain b, so above[b][x] is the count of t with below[a][c_t] < s.
     """
 
     chains: tuple[tuple[int, ...], ...]
@@ -99,12 +112,17 @@ class ChainPartition:
 
     def __post_init__(self, leq: np.ndarray) -> None:
         arrays = tuple(np.array(chain, dtype=np.int64) for chain in self.chains)
-        for arr in arrays:
-            if not leq[arr[:-1], arr[1:]].all():
-                raise PosetmcError(f"internal error: chain {arr.tolist()} does not ascend")
-        # an ascending chain meets the up-set of x in a suffix and its down-set in a prefix
-        above = np.array([len(arr) - leq[:, arr].sum(axis=1) for arr in arrays], dtype=np.int64)
         below = np.array([leq[arr, :].sum(axis=0) - 1 for arr in arrays], dtype=np.int64)
+        for b, arr in enumerate(arrays):
+            if not np.array_equal(below[b][arr], np.arange(len(arr))):
+                raise PosetmcError(f"internal error: chain {arr.tolist()} does not ascend")
+        # x sits at position below[a][x] on its chain a.  Shifted by a(n + 1),
+        # row a of below[:, chain b] lies after rows < a and before rows > a,
+        # so one sorted search per chain b counts the t with below[a][c_t] < s.
+        a = np.array(self.chain_of, dtype=np.int64)
+        shift = (len(leq) + 1) * np.arange(len(arrays))[:, None]
+        keys = shift[a, 0] + below[a, np.arange(len(leq))]
+        above = np.array([np.searchsorted((below[:, arr] + shift).ravel(), keys) - len(arr) * a for arr in arrays])
         for arr in (*arrays, above, below):
             arr.flags.writeable = False
         object.__setattr__(self, "arrays", arrays)
@@ -126,17 +144,23 @@ def _unpack(bitsets: list[int], n: int) -> np.ndarray:
 
 
 def _hasse(leq: np.ndarray) -> tuple[list[int], list[list[int]], bool]:
-    """Covers over ranks, and whether a reflexive antisymmetric `leq` is transitive.
+    """Covers over ranks, and whether a reflexive `leq` is a partial order.
 
     Ranks sort elements by down-set size, a linear extension of a partial
-    order.  Above each x the walk puts the least rank c not yet reached into
-    above[rank of x] and reaches up(c), until it reaches the strict up-set
-    S(x).  In a partial order it takes exactly x's covers, at most width of
-    them: an element between x and c ranks lower, so it is taken or reaches c.
+    order.  Above each x the walk puts the least rank c of the strict up-set
+    S(x) not yet reached into above[rank of x] and reaches up(c), until all
+    of S(x) is reached; each step reaches the c it takes, so the walk ends on
+    any reflexive relation.  In a partial order it takes exactly x's covers,
+    at most width of them: an element between x and c ranks lower, so it is
+    taken or reaches c.
 
-    Rank lemma: `leq` is transitive iff the reach equals S(x) at every x.  For
-    "if", induct on up-set size: each up(c) taken lies in S(x), so it is smaller
-    than up(x) and closed upward, and every y in S(x) lies in one such up(c).
+    Rank lemma: a reflexive `leq` is a partial order iff the reach equals
+    S(x) at every x.  "Only if": each c taken is above x and not below it,
+    so up(c) lies in S(x).  "If": each up(c) taken lies in S(x), so x is not
+    in up(c) and |up(c)| < |up(x)|.  Induction on |up(x)| then gives
+    up(y) within S(x) for every y in S(x): y lies in some up(c) taken, and
+    either y = c or y is in S(c), whose up-sets lie in S(c).  So `leq` is
+    transitive, and no y in S(x) has x in up(y), which is antisymmetry.
     """
     order = np.argsort(leq.sum(axis=0), kind="stable")
     up = _bitrows(leq[np.ix_(order, order)])
@@ -254,16 +278,13 @@ def _check_embed_inputs(q: Poset, p: Poset) -> None:
 
 
 def is_embedding(q: Poset, p: Poset, e: Sequence[int]) -> bool:
-    """True iff e is injective and order-preserving-and-reflecting from q into p."""
+    """True iff e is injective and order-preserving-and-reflecting from q into p:
+    the block of p.leq on e's rows and columns equals q.leq."""
     if len(e) != q.n or len(set(e)) != q.n:
         return False
     if any(not 0 <= x < p.n for x in e):
         return False
-    for i in range(q.n):
-        for j in range(q.n):
-            if bool(q.leq[i, j]) != bool(p.leq[e[i], e[j]]):
-                return False
-    return True
+    return bool((p.leq.take(e, axis=0).take(e, axis=1) == q.leq).all())
 
 
 # -- width and chain partition (Dilworth via bipartite matching) --------------

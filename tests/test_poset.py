@@ -197,9 +197,46 @@ def test_chain_index_matches_definition(p):
             assert cp.below[b][x] == (down[-1] if down else -1)
 
 
+def _large_index_hosts():
+    """Banded hosts of 1,600 elements whose Dilworth chains differ in length, and an antichain."""
+    hosts = [pm.banded_poset(1600, w, band=1, offsets=[2 * b for b in range(w)]) for w in range(1, 7)]
+    return hosts + [pm.close_and_validate(400, [])]
+
+
+@pytest.mark.parametrize("p", _large_index_hosts(), ids=[*(f"banded-w{w}" for w in range(1, 7)), "antichain"])
+def test_chain_index_matches_column_count_on_large_hosts(p):
+    # `above` is derived from `below`; here it is counted off the columns of `leq`
+    w, cp = pm.width_and_chain_partition(p)
+    if 1 < w < p.n:
+        assert len({len(arr) for arr in cp.arrays}) > 1
+    want = np.array([len(arr) - p.leq[:, arr].sum(axis=1) for arr in cp.arrays])
+    assert cp.above.shape == (w, p.n) and np.array_equal(cp.above, want)
+
+
 def test_chain_index_rejects_unsorted_chain():
     with pytest.raises(pm.PosetmcError, match="does not ascend"):
         pm.ChainPartition(((1, 0),), (0, 0), (0,), chain(2).leq)
+
+
+def _pairwise_embedding(q, p, e):
+    """Reference: the definition, one ordered pair of pattern elements at a time."""
+    if len(e) != q.n or len(set(e)) != q.n or any(not 0 <= x < p.n for x in e):
+        return False
+    return all(q.leq[i, j] == p.leq[e[i], e[j]] for i in range(q.n) for j in range(q.n))
+
+
+def test_is_embedding_matches_pairwise_definition(rng):
+    for _ in range(300):
+        p = pm.random_poset(rng.randint(1, 10), rng.uniform(0, 1), rng.randrange(2**30))
+        e = rng.sample(range(p.n), rng.randint(0, p.n))
+        if rng.random() < 0.5:
+            q = pm.Poset(p.leq[np.ix_(e, e)])
+        else:
+            q = pm.random_poset(len(e), rng.uniform(0, 1), rng.randrange(2**30))
+        if e and rng.random() < 0.3:
+            e[rng.randrange(len(e))] = rng.choice([e[0], -1, p.n])  # a repeat or out of range
+        for given in (e, tuple(e), np.array(e, dtype=np.int64)):
+            assert pm.is_embedding(q, p, given) is _pairwise_embedding(q, p, e)
 
 
 def test_disjoint_union_examples():
@@ -380,6 +417,7 @@ def _peak_per_cell(build, n):
     return peak / (n * n)
 
 
+_BANDED_400 = pm.banded_poset(400, 3, band=1).leq
 _STACK_PARTS = [pm.banded_poset(100, 2, band=1) for _ in range(4)]
 _PATH_GRAPH = pm.SimpleGraph.from_edges(133, [(v, v + 1) for v in range(132)])
 _BANDED_TEXT = pm.format_poset_text(pm.banded_poset(1600, 3, band=1))
@@ -394,11 +432,13 @@ _BANDED_TEXT = pm.format_poset_text(pm.banded_poset(1600, 3, band=1))
         (lambda: pm.random_poset(400, 0.5, 7), 400),
         (lambda: pm.random_poset(400, 1.0, 7), 400),
         (lambda: pm.parse_poset_text(_BANDED_TEXT), 1600),  # O(n) text terms are small here
+        (lambda: pm.Poset(_BANDED_400), 400),
     ],
-    ids=["banded", "poset_of_graph", "stack", "random-0.5", "random-1.0", "load"],
+    ids=["banded", "poset_of_graph", "stack", "random-0.5", "random-1.0", "load", "validate"],
 )
 def test_guarded_builders_fit_the_dense_cap(build, n):
-    # every builder behind `_check_dense_fits`, at sizes far below the cap
+    # every builder behind `_check_dense_fits`, and the validating constructor,
+    # at sizes far below the cap
     assert _peak_per_cell(build, n) <= DENSE_BYTES_PER_CELL
 
 
@@ -459,6 +499,36 @@ def test_bitset_kernel_matches_float_product(leq):
     assert _outcome(pm.Poset, leq) == want
     if want is None:
         assert pm.cover_pairs(pm.Poset(leq)) == _matmul_covers(leq)
+
+
+def _reflexive_relations(max_n):
+    """Every reflexive relation on at most max_n points, as a bool matrix."""
+    for n in range(max_n + 1):
+        cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for bits in range(1 << len(cells)):
+            leq = np.eye(n, dtype=bool)
+            for k, (a, b) in enumerate(cells):
+                leq[a, b] = bool(bits >> k & 1)
+            yield leq
+
+
+def _is_partial_order(leq):
+    n = len(leq)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    antisymmetric = not any(leq[a, b] and leq[b, a] for a, b in pairs)
+    return antisymmetric and all(leq[a, c] or not (leq[a, b] and leq[b, c]) for a, b in pairs for c in range(n))
+
+
+def test_walk_decides_partial_order():
+    # the rank lemma without its antisymmetry premise, on every reflexive
+    # relation of at most four points: the walk alone validates a poset
+    relations = orders = 0
+    for leq in _reflexive_relations(4):
+        want = _is_partial_order(leq)
+        assert pm.poset._hasse(leq)[2] is want
+        assert _outcome(pm.Poset, leq) == _outcome(_matmul_validate, leq)
+        relations, orders = relations + 1, orders + want
+    assert (relations, orders) == (4166, 243)
 
 
 def test_poset_text_errors():

@@ -91,6 +91,24 @@ def test_too_many_variables():
         pm.enumerate_templates(s)
 
 
+def test_seven_variable_chain_is_refused_before_enumeration(monkeypatch):
+    # the q = 7 chain does not finish in minutes; the cap must refuse it up front
+    def enumerated(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(pm.reduction, "_restricted_growth_strings", enumerated)
+    monkeypatch.setattr(pm.reduction, "_labeled_posets", enumerated)
+    names = [f"v{i}" for i in range(7)]
+    s = pm.parse_sentence(
+        "".join(f"E {v}. " for v in names) + " & ".join(f"{a} <= {b}" for a, b in zip(names, names[1:]))
+    )
+    assert pm.reduction.DEFAULT_VARIABLE_CAP == 6
+    with pytest.raises(pm.TooManyVariables, match="7 variables over cap 6"):
+        pm.enumerate_templates(s)
+    with pytest.raises(pm.TooManyVariables):
+        pm.model_check(s, chain(3))
+
+
 def test_model_check_examples():
     s = pm.parse_sentence("E x. E y. x <= y & !(y <= x)")
     ok, witness = pm.model_check(s, antichain(2))
